@@ -261,16 +261,22 @@ def cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _var_label(formula: CnfFormula, vid: int) -> str:
+    """A variable's atlas name, or its numeric id when the atlas (which
+    DIMACS `c var` lines may fill only in part) does not name it."""
+    return str(formula.atlas.name_of(vid)) if vid <= len(formula.atlas) else str(vid)
+
+
 def cmd_solve(args: argparse.Namespace) -> int:
     formula = _input_formula(args)
     oracle = brute_force_sat if args.oracle == "brute" else dpll_sat
     verdict = oracle(formula)
     print(verdict.status)
     if args.model and verdict.model is not None:
-        pairs = []
-        for vid in range(1, formula.num_vars + 1):
-            name = formula.atlas.name_of(vid) if formula.atlas else vid
-            pairs.append(f"{name}={int(verdict.model[vid])}")
+        pairs = (
+            f"{_var_label(formula, vid)}={int(verdict.model[vid])}"
+            for vid in range(1, formula.num_vars + 1)
+        )
         print(" ".join(pairs))
     return 10 if verdict.is_sat else 20
 
@@ -293,10 +299,7 @@ def cmd_saturate(args: argparse.Namespace) -> int:
             print(f"clause ({clause}) not in the saturated store")
             return 1
         chain = decision_chain_of(result, cid)
-        names = " ".join(
-            str(formula.atlas.name_of(v)) if formula.atlas else str(v)
-            for v in chain.resolved
-        )
+        names = " ".join(_var_label(formula, v) for v in chain.resolved)
         print(f"chain for ({clause}): length {chain.length}, resolved {names or '-'}")
         if args.dot is not None:
             _write_output(args.dot, export_chain_dot(result, cid))

@@ -348,8 +348,9 @@ def compose_two_trees(k: int, closing: Closing) -> CnfFormula:
     the root is false, one when it is true.  MATCHED closures write each
     tree's own entry literal into its boundary (jointly unsatisfiable);
     CROSSED closures swap them (satisfiable either way)."""
-    if k < 1:
-        raise ValueError("tree depth must be at least 1")
+    if k < 2:
+        # At k = 1 the closure would alias the root into its own triple.
+        raise ValueError(f"composition depth must be at least 2, got {k}")
     em = _Emitter()
     root = em.lit(RootVar())
     flip = -1 if closing is Closing.CROSSED else 1

@@ -12,6 +12,13 @@ and runs are deterministic.  Clause ids are assigned in discovery order
 are counted and dropped; novel ones join the store, the trace and the
 unprocessed set.  The first recorded derivation of a clause is the one
 its decision chain reports.
+
+The loop runs on plain int tuples; `Clause` objects are built only when
+a result is returned.  Each pair's clash (the partner's literals whose
+complement is in the given clause) is computed once: with two or more
+clashing variables every resolvent is a tautology (Robinson, JACM 1965),
+so those steps are counted without being built, and with exactly one the
+resolvent is the union of the parents less the clashing pair.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ import heapq
 from dataclasses import dataclass
 from enum import Enum
 
-from .formula import Clause, CnfFormula, Literal, Tautology, as_int, make_clause
+from .formula import TAUTOLOGY, Clause, CnfFormula, Literal, Tautology, as_int
 
 DEFAULT_MAX_CLAUSES = 1_000_000
 DEFAULT_MAX_STEPS = 10_000_000
@@ -115,18 +122,36 @@ class DecisionChain:
         return not self.connected
 
 
+def _clash(set_a: set[int], lits_b: tuple[int, ...]) -> list[int]:
+    """The literals of clause b whose complement is in clause a, in b's
+    order (ascending variable).  With two or more, every resolvent of the
+    pair is a tautology."""
+    return [lit for lit in lits_b if -lit in set_a]
+
+
+def _resolvent(set_a: set[int], lits_b: tuple[int, ...], lit: int) -> set[int]:
+    """Literals of the resolvent of a and b on `lit`, b's only clashing
+    literal; it cannot be a tautology."""
+    merged = set_a.union(lits_b)
+    merged.discard(lit)
+    merged.discard(-lit)
+    return merged
+
+
+def _canonical(lits: set[int]) -> tuple[int, ...]:
+    return tuple(sorted(lits, key=abs))
+
+
 def resolve(c1: Clause, c2: Clause, var: int) -> Clause | Tautology:
     """Resolve two clauses on `var`, which must occur with opposite signs
     in the parents.  Returns the canonical resolvent or TAUTOLOGY."""
-    if var in c1.lits and -var in c2.lits:
-        pos, neg = c1, c2
-    elif var in c2.lits and -var in c1.lits:
-        pos, neg = c2, c1
-    else:
+    set1 = set(c1.lits)
+    clash = _clash(set1, c2.lits)
+    if var not in clash and -var not in clash:
         raise ValueError(f"parents are not complementary on variable {var}")
-    return make_clause(
-        [l for l in pos.lits if l != var] + [l for l in neg.lits if l != -var]
-    )
+    if len(clash) > 1:
+        return TAUTOLOGY
+    return Clause(_canonical(_resolvent(set1, c2.lits, clash[0])))
 
 
 def saturate(formula: CnfFormula, budget: Budget | None = None) -> SaturationResult:
@@ -135,11 +160,13 @@ def saturate(formula: CnfFormula, budget: Budget | None = None) -> SaturationRes
     clause and resolving it against every processed clause."""
     budget = budget or Budget()
     max_width = budget.max_width if budget.max_width is not None else formula.num_vars
-    counters = SaturationCounters()
+    max_steps = budget.max_steps
+    max_clauses = budget.max_clauses
+    steps = tautologies = duplicates = over_width = 0
 
-    store: list[Clause] = list(formula.clauses)
-    ids: dict[tuple[int, ...], int] = {c.lits: i for i, c in enumerate(store)}
-    unprocessed = [(c.width, i) for i, c in enumerate(store)]
+    store: list[tuple[int, ...]] = [c.lits for c in formula.clauses]
+    ids: dict[tuple[int, ...], int] = {lits: i for i, lits in enumerate(store)}
+    unprocessed = [(len(lits), i) for i, lits in enumerate(store)]
     heapq.heapify(unprocessed)
     # Occurrences of processed clauses only: a given clause meets each
     # partner once, so every unordered pair is tried exactly once.
@@ -148,53 +175,60 @@ def saturate(formula: CnfFormula, budget: Budget | None = None) -> SaturationRes
     n_original = len(store)
 
     status = SaturationStatus.SATURATED
-    if any(c.is_empty for c in store):
+    if any(not lits for lits in store):
         status = SaturationStatus.EMPTY_DERIVED
 
     while status is SaturationStatus.SATURATED and unprocessed:
-        if len(store) >= budget.max_clauses:
+        if len(store) >= max_clauses:
             status = SaturationStatus.BUDGET_EXHAUSTED
             break
         _, given = heapq.heappop(unprocessed)
-        lits_g = store[given].lits
+        lits_g = store[given]
         set_g = set(lits_g)
         partners = sorted({j for lit in lits_g for j in occ.get(-lit, ())})
         for j in partners:
-            left, right = min(j, given), max(j, given)
-            shared = sorted(abs(l) for l in store[j].lits if -l in set_g)
-            for var in shared:
-                if counters.steps >= budget.max_steps:
+            if steps >= max_steps:
+                status = SaturationStatus.BUDGET_EXHAUSTED
+                break
+            lits_j = store[j]
+            clash = _clash(set_g, lits_j)
+            if len(clash) > 1:
+                # One step per clashing variable, each a tautology; the
+                # step budget may trip part way through them.
+                taken = min(len(clash), max_steps - steps)
+                steps += taken
+                tautologies += taken
+                if taken < len(clash):
                     status = SaturationStatus.BUDGET_EXHAUSTED
                     break
-                counters.steps += 1
-                resolvent = resolve(store[left], store[right], var)
-                if isinstance(resolvent, Tautology):
-                    counters.tautologies += 1
-                    continue
-                if resolvent.width > max_width:
-                    counters.over_width += 1
-                    continue
-                if resolvent.lits in ids:
-                    counters.duplicates += 1
-                    continue
-                new_id = len(store)
-                ids[resolvent.lits] = new_id
-                store.append(resolvent)
-                heapq.heappush(unprocessed, (resolvent.width, new_id))
-                trace.append(ResolutionStep(left, right, var, new_id))
-                counters.added += 1
-                if resolvent.is_empty:
-                    status = SaturationStatus.EMPTY_DERIVED
-                    break
-                if len(store) >= budget.max_clauses:
-                    status = SaturationStatus.BUDGET_EXHAUSTED
-                    break
-            if status is not SaturationStatus.SATURATED:
+                continue
+            steps += 1
+            lit = clash[0]
+            merged = _resolvent(set_g, lits_j, lit)
+            if len(merged) > max_width:
+                over_width += 1
+                continue
+            resolvent = _canonical(merged)
+            if resolvent in ids:
+                duplicates += 1
+                continue
+            new_id = len(store)
+            ids[resolvent] = new_id
+            store.append(resolvent)
+            heapq.heappush(unprocessed, (len(resolvent), new_id))
+            trace.append(ResolutionStep(min(j, given), max(j, given), abs(lit), new_id))
+            if not resolvent:
+                status = SaturationStatus.EMPTY_DERIVED
+                break
+            if len(store) >= max_clauses:
+                status = SaturationStatus.BUDGET_EXHAUSTED
                 break
         for lit in lits_g:
             occ.setdefault(lit, []).append(given)
 
-    return SaturationResult(status, tuple(store), n_original, tuple(trace), counters)
+    counters = SaturationCounters(steps, len(trace), tautologies, duplicates, over_width)
+    clauses = formula.clauses + tuple(Clause(lits) for lits in store[n_original:])
+    return SaturationResult(status, clauses, n_original, tuple(trace), counters)
 
 
 def decision_chain_of(result: SaturationResult, clause_id: int) -> DecisionChain:
@@ -248,15 +282,19 @@ def is_dominant_by_resolution(
 def replay_trace(formula: CnfFormula, trace: tuple[ResolutionStep, ...]) -> list[Clause]:
     """Re-run a recorded trace from the original clauses; raises if any
     step fails to reproduce.  Returns the reconstructed store."""
-    store = list(formula.clauses)
+    store = [c.lits for c in formula.clauses]
     for step in trace:
-        resolvent = resolve(store[step.left], store[step.right], step.var)
-        if isinstance(resolvent, Tautology):
+        set_left = set(store[step.left])
+        lits_right = store[step.right]
+        clash = _clash(set_left, lits_right)
+        if step.var not in clash and -step.var not in clash:
+            raise ValueError(f"step {step}: parents are not complementary on variable {step.var}")
+        if len(clash) > 1:
             raise ValueError(f"step {step} resolves to a tautology on replay")
         if step.result != len(store):
             raise ValueError(f"step {step} out of order on replay")
-        store.append(resolvent)
-    return store
+        store.append(_canonical(_resolvent(set_left, lits_right, clash[0])))
+    return list(formula.clauses) + [Clause(lits) for lits in store[len(formula.clauses) :]]
 
 
 def export_trace(result: SaturationResult) -> str:

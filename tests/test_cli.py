@@ -63,6 +63,12 @@ def test_generate_requires_depth(capsys):
     assert err.startswith("error:")
 
 
+def test_generate_rejects_a_one_level_composition(capsys):
+    code, out, err = run_cli(capsys, "generate", "--family", "compose-matched", "--k", "1")
+    assert code == 2 and out == ""
+    assert err == "error: composition depth must be at least 2, got 1\n"
+
+
 def test_generate_rejects_bad_closure_text(capsys):
     code, _, err = run_cli(
         capsys, "generate", "--family", "binomial", "--k", "3", "--closure", "pivot:1"
@@ -83,6 +89,18 @@ def test_solve_prints_named_model(capsys):
     )
     assert code == 10
     assert out.splitlines() == ["sat", "x1.1=1 x2.1=0 x3.1=0"]
+
+
+# The atlas names variable 1 only; the others print by id.
+PARTLY_NAMED = "c var 1 x1.1\np cnf 3 2\n1 2 0\n-2 3 0\n"
+
+
+def test_solve_model_with_a_partial_atlas(capsys, tmp_path):
+    path = tmp_path / "partial.cnf"
+    path.write_text(PARTLY_NAMED)
+    code, out, err = run_cli(capsys, "solve", "--in", str(path), "--oracle", "brute", "--model")
+    assert code == 10 and err == ""
+    assert out.splitlines() == ["sat", "x1.1=0 2=1 3=1"]
 
 
 def test_solve_reads_dimacs_files(capsys, tmp_path):
@@ -125,6 +143,14 @@ def test_saturate_chain_and_dot(capsys, tmp_path):
     assert code == 0
     assert "chain for (1): length 2, resolved x2.1 x3.1" in out
     assert dot.read_text().startswith("digraph chain {")
+
+
+def test_saturate_chain_with_a_partial_atlas(capsys, tmp_path):
+    path = tmp_path / "partial.cnf"
+    path.write_text(PARTLY_NAMED)
+    code, out, err = run_cli(capsys, "saturate", "--in", str(path), "--chain", "1 3")
+    assert code == 0 and err == ""
+    assert "chain for (1 3): length 1, resolved 2" in out
 
 
 def test_saturate_chain_miss_fails(capsys):

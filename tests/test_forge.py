@@ -233,6 +233,9 @@ def test_compose_two_trees_verdicts_and_shape():
     assert dpll_sat(crossed).is_sat
     assert matched.metadata["closing"] == "matched"
     assert crossed.metadata["closing"] == "crossed"
+    for closing in Closing:
+        with pytest.raises(ValueError, match="at least 2, got 1"):
+            compose_two_trees(1, closing)
 
 
 def test_multi_branching_shape():

@@ -1,7 +1,16 @@
+import hashlib
+import random
+
 import pytest
 
-from treesat.forge import Closing, build_unit_chain, compose_two_trees
-from treesat.formula import Clause, EMPTY_CLAUSE, TAUTOLOGY, build_formula
+from treesat.forge import (
+    Closing,
+    TreeSpec,
+    build_binomial_tree,
+    build_unit_chain,
+    compose_two_trees,
+)
+from treesat.formula import Clause, EMPTY_CLAUSE, TAUTOLOGY, build_formula, make_clause
 from treesat.resolution import (
     Budget,
     ResolutionDominance,
@@ -29,6 +38,28 @@ def test_resolve_detects_tautologies_and_bad_parents():
         resolve(Clause((1, 2)), Clause((2, 3)), 2)
     with pytest.raises(ValueError):
         resolve(Clause((1, 2)), Clause((-2, 3)), 1)
+
+
+def _random_clause(rng: random.Random) -> Clause:
+    variables = rng.sample(range(1, 7), rng.randint(1, 5))
+    return make_clause([v if rng.random() < 0.5 else -v for v in variables])
+
+
+def test_resolve_agrees_with_the_literal_merge_reference():
+    rng = random.Random(7)
+    for _ in range(2000):
+        c1, c2 = _random_clause(rng), _random_clause(rng)
+        for var in range(1, 7):
+            if var in c1.lits and -var in c2.lits:
+                pos, neg = c1, c2
+            elif var in c2.lits and -var in c1.lits:
+                pos, neg = c2, c1
+            else:
+                continue
+            expected = make_clause(
+                [l for l in pos.lits if l != var] + [l for l in neg.lits if l != -var]
+            )
+            assert resolve(c1, c2, var) == expected
 
 
 def test_saturate_unit_pair_derives_empty_clause():
@@ -65,6 +96,71 @@ def test_saturate_is_deterministic():
         assert first.store == second.store
         assert first.trace == second.trace
         assert first.status is second.status
+
+
+# Status, counters, store size and a digest of the exported trace, pinned
+# from runs of the object-per-step engine; a faster kernel must reproduce
+# them exactly, step-budget trips and over-width drops included.
+GOLDEN_RUNS = [
+    (
+        "matched-2",
+        lambda: compose_two_trees(2, Closing.MATCHED),
+        None,
+        ("empty-derived", 503, 263, 36, 204, 0, 281, "3d5b89c2a3e00aad"),
+    ),
+    (
+        "matched-3",
+        lambda: compose_two_trees(3, Closing.MATCHED),
+        None,
+        ("empty-derived", 2061, 982, 64, 1015, 0, 1018, "8f4c4e6758915196"),
+    ),
+    (
+        "matched-4",
+        lambda: compose_two_trees(4, Closing.MATCHED),
+        None,
+        ("empty-derived", 6520, 2602, 114, 3804, 0, 2662, "0d1d126182714774"),
+    ),
+    (
+        "closed-tree-3",
+        lambda: build_binomial_tree(TreeSpec(k=3)),
+        Budget(20_000, 200_000),
+        ("budget-exhausted", 200_000, 4739, 58955, 136306, 0, 4757, "16dad6d158470875"),
+    ),
+    (
+        "crossed-4-width-3",
+        lambda: compose_two_trees(4, Closing.CROSSED),
+        Budget(max_width=3, max_steps=5000),
+        ("budget-exhausted", 5000, 2310, 130, 2336, 224, 2370, "1b86bb569d4d4fb1"),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "build, budget, expected", [r[1:] for r in GOLDEN_RUNS], ids=[r[0] for r in GOLDEN_RUNS]
+)
+def test_saturate_matches_golden_runs(build, budget, expected):
+    result = saturate(build(), budget)
+    c = result.counters
+    digest = hashlib.sha256(export_trace(result).encode()).hexdigest()[:16]
+    observed = (
+        str(result.status), c.steps, c.added, c.tautologies, c.duplicates, c.over_width,
+        len(result.store), digest,
+    )
+    assert observed == expected
+
+
+def test_step_budget_trips_inside_a_multi_clash_pair():
+    # The two clauses clash on all three variables: three tautologies.
+    formula = build_formula([Clause((1, 2, 3)), Clause((-1, -2, -3))])
+    capped = saturate(formula, Budget(max_steps=2))
+    assert capped.status is SaturationStatus.BUDGET_EXHAUSTED
+    assert (capped.counters.steps, capped.counters.tautologies) == (2, 2)
+    none = saturate(formula, Budget(max_steps=0))
+    assert none.status is SaturationStatus.BUDGET_EXHAUSTED
+    assert none.counters.steps == 0
+    full = saturate(formula)
+    assert full.status is SaturationStatus.SATURATED
+    assert (full.counters.steps, full.counters.tautologies) == (3, 3)
 
 
 def test_empty_clause_among_originals_short_circuits():
