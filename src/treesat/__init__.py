@@ -9,7 +9,6 @@ from .formula import (
     CnfFormula,
     DimacsError,
     FreshVar,
-    Literal,
     RootVar,
     SlotVar,
     TAUTOLOGY,
@@ -30,7 +29,6 @@ from .forge import (
     RedundancySpec,
     TreeNode,
     TreeSpec,
-    TreeVariant,
     build_binary_tree,
     build_binomial_tree,
     build_multi_branching,
@@ -51,12 +49,10 @@ from .counts import (
     candidate_combinations,
     enumerate_paths,
     leaf_path_counts,
-    pascal_rows,
 )
 from .oracle import (
     OracleVerdict,
     Verdict,
-    all_models,
     brute_force_sat,
     dpll_sat,
     entails,

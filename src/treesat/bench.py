@@ -12,18 +12,9 @@ import csv
 import math
 import time
 from dataclasses import dataclass, fields
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
-from .forge import (
-    Closing,
-    TreeSpec,
-    build_binary_tree,
-    build_pair_chain,
-    build_unit_chain,
-    build_binomial_tree,
-    compose_two_trees,
-)
-from .formula import CnfFormula
+from .forge import FAMILIES
 from .oracle import dpll_sat
 from .resolution import Budget, saturate
 
@@ -31,16 +22,6 @@ from .resolution import Budget, saturate
 # budget exhaustion is an honest recorded status, not a failure.
 SWEEP_MAX_CLAUSES = 20_000
 SWEEP_MAX_STEPS = 200_000
-
-FAMILIES: dict[str, Callable[[int], CnfFormula]] = {
-    "unit-chain": build_unit_chain,
-    "pair-chain": build_pair_chain,
-    "binary": build_binary_tree,
-    "binomial": lambda k: build_binomial_tree(TreeSpec(k=k)),
-    "compose-matched": lambda k: compose_two_trees(k, Closing.MATCHED),
-    "compose-crossed": lambda k: compose_two_trees(k, Closing.CROSSED),
-}
-
 
 @dataclass(frozen=True)
 class BenchRecord:

@@ -10,11 +10,10 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import tempfile
-from typing import Sequence
+from pathlib import Path
+from typing import Callable, Sequence
 
 from .bench import (
-    FAMILIES,
     default_sweep_budget,
     export_csv,
     run_sweep,
@@ -32,16 +31,12 @@ from .counts import (
     leaf_path_counts,
 )
 from .forge import (
-    Closing,
+    FAMILIES,
     NamedLit,
     RedundancySpec,
     TreeSpec,
-    build_binary_tree,
     build_binomial_tree,
     build_multi_branching,
-    build_pair_chain,
-    build_unit_chain,
-    compose_two_trees,
     parse_closure,
 )
 from .formula import (
@@ -75,17 +70,6 @@ _EPILOG = (
     f"{ENV_MAX_CLAUSES}, {ENV_MAX_STEPS} and {ENV_MAX_WIDTH} override the "
     "built-in saturation budget defaults when the matching flag is not given."
 )
-
-GENERATE_FAMILIES = (
-    "unit-chain",
-    "pair-chain",
-    "binary",
-    "binomial",
-    "compose-matched",
-    "compose-crossed",
-    "multi-branching",
-)
-
 
 def _env_int(name: str) -> int | None:
     raw = os.environ.get(name)
@@ -155,22 +139,15 @@ def _parse_redundancy(text: str) -> tuple[tuple[int, int], int]:
 
 
 def _family_formula(args: argparse.Namespace) -> CnfFormula:
-    family = args.family
+    """Build from the family registry; the two families with flags of
+    their own (binomial and multi-branching) read them here."""
     k = args.k
     if k is None:
         raise ValueError("--k is required when generating a family")
-    if family == "unit-chain":
-        return build_unit_chain(k)
-    if family == "pair-chain":
-        return build_pair_chain(k)
-    if family == "binary":
-        return build_binary_tree(k)
-    if family == "compose-matched":
-        return compose_two_trees(k, Closing.MATCHED)
-    if family == "compose-crossed":
-        return compose_two_trees(k, Closing.CROSSED)
-    if family == "multi-branching":
+    if args.family == "multi-branching":
         return build_multi_branching(k, args.k_sub)
+    if args.family != "binomial":
+        return FAMILIES[args.family](k)
     spec = TreeSpec(
         k=k,
         closure=parse_closure(args.closure),
@@ -194,26 +171,33 @@ def _input_formula(args: argparse.Namespace) -> CnfFormula:
     return _family_formula(args)
 
 
-def _write_output(path: str | None, text: str) -> None:
-    """Write atomically so a failure never leaves a partial file."""
-    if path is None:
-        sys.stdout.write(text)
-        return
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".treesat-")
+def _write_atomically(path: str, write: Callable[[str], object]) -> None:
+    """Have `write` fill a new file beside `path`, then rename it over
+    `path`, so a failure never leaves a partial file.  The temporary name
+    is random and made by open() in exclusive mode, so no existing file
+    is reused and the result gets the mode a plain open() gives."""
+    directory, name = os.path.split(os.path.abspath(path))
+    tmp = os.path.join(directory, f".treesat-{os.urandom(6).hex()}-{name}")
+    open(tmp, "x").close()
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+        write(tmp)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
         raise
 
 
+def _write_output(path: str | None, text: str) -> None:
+    if path is None:
+        sys.stdout.write(text)
+        return
+    _write_atomically(path, lambda tmp: Path(tmp).write_text(text))
+
+
 def _add_family_flags(parser: argparse.ArgumentParser, required: bool) -> None:
     parser.add_argument(
         "--family",
-        choices=GENERATE_FAMILIES,
+        choices=FAMILIES,
         required=required,
         help="instance family to build",
     )
@@ -357,27 +341,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     if args.csv is not None:
-        directory = os.path.dirname(os.path.abspath(args.csv))
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".treesat-", suffix=".csv")
-        os.close(fd)
-        try:
-            export_csv(records, tmp)
-            os.replace(tmp, args.csv)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        _write_atomically(args.csv, lambda tmp: export_csv(records, tmp))
     if args.svg is not None:
-        directory = os.path.dirname(os.path.abspath(args.svg))
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".treesat-", suffix=".svg")
-        os.close(fd)
-        try:
-            write_scatter_svg(records, tmp)
-            os.replace(tmp, args.svg)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        _write_atomically(args.svg, lambda tmp: write_scatter_svg(records, tmp))
     print(summarize(records))
     return 0
 
@@ -425,7 +391,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("bench", help="sweep families and report scaling", epilog=_EPILOG)
-    p.add_argument("--family", action="append", choices=sorted(FAMILIES), help="family to sweep (repeatable)")
+    p.add_argument("--family", action="append", choices=FAMILIES, help="family to sweep (repeatable)")
     p.add_argument("--k-min", type=int, default=2)
     p.add_argument("--k-max", type=int, default=8)
     p.add_argument("--repetitions", type=int, default=3)

@@ -67,14 +67,6 @@ class PathReport:
     total: int
     reference: tuple[int, ...]
 
-    def as_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "rows": list(self.rows),
-            "total": self.total,
-            "reference": list(self.reference),
-        }
-
     def to_text(self) -> str:
         return " ".join(str(r) for r in self.rows) + f" total {self.total}"
 
@@ -87,29 +79,19 @@ def leaf_path_counts(k: int) -> PathReport:
     return PathReport(k, rows, 2**k, rows)
 
 
-def enumerate_paths(tree, limit: int = ENUMERATION_DEPTH_CAP) -> PathReport:
-    """Walk every left/right selection sequence through the tree schema.
+def enumerate_paths(k: int) -> PathReport:
+    """Walk every left/right selection sequence through the depth-k tree.
 
     A sequence is a k-bit word; starting at row 1, each right selection
     moves to row + 1 (node (l, r) hands over to (l+1, r) or (l+1, r+1)).
     The tally is compared against nothing here: it IS the oracle the
-    closed forms are tested against.  `tree` is a depth or a tree spec
-    of the pair-sharing family.
+    closed forms are tested against.
     """
-    if isinstance(tree, int):
-        k = tree
-    else:
-        variant = getattr(getattr(tree, "variant", None), "value", None)
-        if variant != "binomial":
-            raise ValueError(
-                "path enumeration is defined for the pair-sharing tree family"
-            )
-        k = tree.k
     if k < 0:
         raise ValueError("depth must be non-negative")
-    if k > limit:
+    if k > ENUMERATION_DEPTH_CAP:
         raise ValueError(
-            f"2**{k} sequences exceed the enumeration limit (k <= {limit}); "
+            f"2**{k} sequences exceed the enumeration limit (k <= {ENUMERATION_DEPTH_CAP}); "
             "use leaf_path_counts for the closed form"
         )
     rows = [0] * (k + 1)
@@ -118,21 +100,3 @@ def enumerate_paths(tree, limit: int = ENUMERATION_DEPTH_CAP) -> PathReport:
     return PathReport(
         k, tuple(rows), 1 << k, tuple(math.comb(k, i) for i in range(k + 1))
     )
-
-
-def pascal_rows(k: int) -> list[tuple[int, ...]]:
-    """Boundary-by-boundary path tallies via the additive recurrence:
-    paths(l+1, r) = paths(l, r) + paths(l, r-1).  Row list is 0-indexed
-    by depth; entry d has d+1 rows."""
-    if k < 0:
-        raise ValueError("depth must be non-negative")
-    rows: list[tuple[int, ...]] = [(1,)]
-    for _ in range(k):
-        prev = rows[-1]
-        rows.append(
-            tuple(
-                (prev[i] if i < len(prev) else 0) + (prev[i - 1] if i > 0 else 0)
-                for i in range(len(prev) + 1)
-            )
-        )
-    return rows

@@ -15,8 +15,9 @@ DIMACS output.  The root variable is always registered first (id 1).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from typing import Callable
 
 from .formula import (
     Atlas,
@@ -33,16 +34,6 @@ from .formula import (
     make_clause,
     parse_var_name,
 )
-
-
-class TreeVariant(Enum):
-    UNIT_CHAIN = "unit-chain"
-    PAIR_CHAIN = "pair-chain"
-    BINARY = "binary"
-    BINOMIAL = "binomial"
-
-    def __str__(self) -> str:
-        return self.value
 
 
 @dataclass(frozen=True)
@@ -100,7 +91,6 @@ class RedundancySpec:
 class TreeSpec:
     """Recipe for one generated formula of the pair-sharing tree family."""
 
-    variant: TreeVariant = TreeVariant.BINOMIAL
     k: int = 3
     closure: Closure = Alias(1)
     substitutions: tuple[tuple[SlotVar, NamedLit], ...] = ()
@@ -294,8 +284,6 @@ def build_binomial_tree(spec: TreeSpec) -> CnfFormula:
     """Pair-sharing tree per `spec`: nodes (level, row) for row <= level
     <= k, node (l, r) pairing slots (l+1, r) and (l+1, r+1), so adjacent
     nodes share one slot and boundary row arrivals count binomially."""
-    if spec.variant is not TreeVariant.BINOMIAL:
-        raise ValueError(f"spec variant {spec.variant} is not the pair-sharing tree")
     if spec.k < 1:
         raise ValueError("tree depth must be at least 1")
     em = _Emitter()
@@ -367,7 +355,7 @@ def compose_two_trees(k: int, closing: Closing) -> CnfFormula:
     )
 
 
-def build_multi_branching(k_top: int, k_sub: int) -> CnfFormula:
+def build_multi_branching(k_top: int, k_sub: int = 1) -> CnfFormula:
     """A depth-k_top tree whose last level uses disjoint pair variables
     (no sharing between row neighbours); each of the 2*k_top distinct
     boundary variables then enters its own depth-k_sub pair-sharing
@@ -410,6 +398,19 @@ def build_multi_branching(k_top: int, k_sub: int) -> CnfFormula:
             "clauses_subtrees": str(len(em.clauses) - top_clauses),
         },
     )
+
+
+# Every instance family by name, built from its depth k at default
+# settings: the command line and the bench sweep both draw on this map.
+FAMILIES: dict[str, Callable[[int], CnfFormula]] = {
+    "unit-chain": build_unit_chain,
+    "pair-chain": build_pair_chain,
+    "binary": build_binary_tree,
+    "binomial": lambda k: build_binomial_tree(TreeSpec(k=k)),
+    "compose-matched": lambda k: compose_two_trees(k, Closing.MATCHED),
+    "compose-crossed": lambda k: compose_two_trees(k, Closing.CROSSED),
+    "multi-branching": build_multi_branching,
+}
 
 
 # ---------------------------------------------------------------------------

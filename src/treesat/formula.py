@@ -24,44 +24,6 @@ class DimacsError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# literals
-
-
-@dataclass(frozen=True)
-class Literal:
-    """Structured view of a signed literal."""
-
-    var: int
-    negated: bool = False
-
-    def __post_init__(self) -> None:
-        if self.var < 1:
-            raise ValueError(f"variable id must be positive, got {self.var}")
-
-    def to_int(self) -> int:
-        return -self.var if self.negated else self.var
-
-    @classmethod
-    def from_int(cls, lit: int) -> Literal:
-        if lit == 0:
-            raise ValueError("0 is the clause terminator, not a literal")
-        return cls(abs(lit), lit < 0)
-
-    @property
-    def complement(self) -> Literal:
-        return Literal(self.var, not self.negated)
-
-
-def as_int(lit: int | Literal) -> int:
-    """Normalize a literal given either as a signed int or a Literal."""
-    if isinstance(lit, Literal):
-        return lit.to_int()
-    if lit == 0:
-        raise ValueError("0 is the clause terminator, not a literal")
-    return lit
-
-
-# ---------------------------------------------------------------------------
 # clauses
 
 
@@ -121,12 +83,6 @@ class Clause:
     def variables(self) -> tuple[int, ...]:
         return tuple(abs(lit) for lit in self.lits)
 
-    def literals(self) -> tuple[Literal, ...]:
-        return tuple(Literal.from_int(lit) for lit in self.lits)
-
-    def __contains__(self, lit: int | Literal) -> bool:
-        return as_int(lit) in self.lits
-
     def __str__(self) -> str:
         return " ".join(str(lit) for lit in self.lits) if self.lits else "<empty>"
 
@@ -138,8 +94,9 @@ def make_clause(lits) -> Clause | Tautology:
     """Build a canonical clause from literals, or TAUTOLOGY if a variable
     occurs in both polarities.  Duplicate literals collapse."""
     out: set[int] = set()
-    for raw in lits:
-        lit = as_int(raw)
+    for lit in lits:
+        if lit == 0:
+            raise ValueError("0 is the clause terminator, not a literal")
         if -lit in out:
             return TAUTOLOGY
         out.add(lit)
@@ -287,12 +244,6 @@ class Atlas:
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Atlas) and self._names == other._names
 
-    def copy(self) -> Atlas:
-        dup = Atlas()
-        for _, name in self.items():
-            dup.register(name)
-        return dup
-
 
 # ---------------------------------------------------------------------------
 # formulas
@@ -334,15 +285,6 @@ class CnfFormula:
         added = tuple(c for c in extra if c.lits not in have)
         return CnfFormula(
             self.clauses + added, self.num_vars, self.atlas, dict(self.metadata)
-        )
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, CnfFormula)
-            and self.clauses == other.clauses
-            and self.num_vars == other.num_vars
-            and self.atlas == other.atlas
-            and self.metadata == other.metadata
         )
 
 

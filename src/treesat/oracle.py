@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .formula import Clause, CnfFormula, Literal, as_int, make_clause
+from .formula import Clause, CnfFormula, make_clause
 
 BRUTE_FORCE_VAR_CAP = 28
 
@@ -181,15 +181,14 @@ def dpll_sat(formula: CnfFormula) -> OracleVerdict:
     return OracleVerdict(Verdict.SAT, model, stats["nodes"], stats["propagations"])
 
 
-def is_dominant(formula: CnfFormula, lit: int | Literal, oracle=dpll_sat) -> bool:
+def is_dominant(formula: CnfFormula, lit: int, oracle=dpll_sat) -> bool:
     """True iff the formula is satisfiable and forces `lit` true in every
     model (the literal's complement makes it unsatisfiable)."""
-    ilit = as_int(lit)
-    if abs(ilit) > formula.num_vars:
-        raise ValueError(f"variable {abs(ilit)} not in formula")
+    if not 1 <= abs(lit) <= formula.num_vars:
+        raise ValueError(f"variable {abs(lit)} not in formula")
     if not oracle(formula).is_sat:
         return False
-    blocked = formula.with_extra([make_clause([-ilit])])
+    blocked = formula.with_extra([make_clause([-lit])])
     return not oracle(blocked).is_sat
 
 
@@ -201,15 +200,3 @@ def entails(formula: CnfFormula, clause: Clause, oracle=dpll_sat) -> bool:
             raise ValueError(f"variable {var} not in formula")
     negated = [make_clause([-l]) for l in clause.lits]
     return not oracle(formula.with_extra(negated)).is_sat
-
-
-def all_models(formula: CnfFormula, max_vars: int = 20):
-    """Yield every satisfying assignment in lexicographic order (test aid)."""
-    n = formula.num_vars
-    if n > max_vars:
-        raise ValueError(f"{n} variables exceeds the enumeration cap {max_vars}")
-    lit_rows = [c.lits for c in formula.clauses]
-    for m in range(1 << n):
-        model = {i: bool(m >> (n - i) & 1) for i in range(1, n + 1)}
-        if all(any(model[abs(l)] == (l > 0) for l in c) for c in lit_rows):
-            yield model

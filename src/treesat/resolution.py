@@ -27,7 +27,7 @@ import heapq
 from dataclasses import dataclass
 from enum import Enum
 
-from .formula import TAUTOLOGY, Clause, CnfFormula, Literal, Tautology, as_int
+from .formula import TAUTOLOGY, Clause, CnfFormula, Tautology
 
 DEFAULT_MAX_CLAUSES = 1_000_000
 DEFAULT_MAX_STEPS = 10_000_000
@@ -265,14 +265,13 @@ def decision_chain_of(result: SaturationResult, clause_id: int) -> DecisionChain
 
 
 def is_dominant_by_resolution(
-    formula: CnfFormula, lit: int | Literal, budget: Budget | None = None
+    formula: CnfFormula, lit: int, budget: Budget | None = None
 ) -> ResolutionDominance:
     """DOMINANT iff saturation derives the unit clause {lit} in budget."""
-    ilit = as_int(lit)
-    if abs(ilit) > formula.num_vars:
-        raise ValueError(f"variable {abs(ilit)} not in formula")
+    if not 1 <= abs(lit) <= formula.num_vars:
+        raise ValueError(f"variable {abs(lit)} not in formula")
     result = saturate(formula, budget)
-    if Clause((ilit,)) in result.store:
+    if Clause((lit,)) in result.store:
         return ResolutionDominance.DOMINANT
     if result.status is SaturationStatus.BUDGET_EXHAUSTED:
         return ResolutionDominance.BUDGET_EXHAUSTED

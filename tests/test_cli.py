@@ -1,9 +1,12 @@
+import argparse
 import os
+import stat
 
 import pytest
 
-from treesat.cli import main
+from treesat.cli import _build_parser, main
 from treesat.forge import (
+    FAMILIES,
     Closing,
     NamedLit,
     TreeSpec,
@@ -27,15 +30,24 @@ def test_generate_to_stdout(capsys):
     assert out == write_dimacs(build_unit_chain(3))
 
 
+def file_mode(path):
+    return stat.S_IMODE(os.stat(path).st_mode)
+
+
 def test_generate_to_file_atomically(capsys, tmp_path):
     target = tmp_path / "chain.cnf"
-    code, out, _ = run_cli(
-        capsys, "generate", "--family", "unit-chain", "--k", "4", "--out", str(target)
-    )
+    umask = os.umask(0o022)
+    try:
+        code, out, _ = run_cli(
+            capsys, "generate", "--family", "unit-chain", "--k", "4", "--out", str(target)
+        )
+    finally:
+        os.umask(umask)
     assert code == 0 and out == ""
     assert target.read_text() == write_dimacs(build_unit_chain(4))
     leftovers = [p for p in os.listdir(tmp_path) if p.startswith(".treesat-")]
     assert leftovers == []
+    assert file_mode(target) == 0o644
 
 
 def test_generate_is_deterministic(capsys):
@@ -256,11 +268,15 @@ def test_verify_rejects_unknown_check_names(capsys):
 def test_bench_writes_csv_and_svg(capsys, tmp_path):
     csv_path = tmp_path / "out.csv"
     svg_path = tmp_path / "out.svg"
-    code, out, _ = run_cli(
-        capsys,
-        "bench", "--family", "unit-chain", "--k-min", "2", "--k-max", "4",
-        "--repetitions", "1", "--csv", str(csv_path), "--svg", str(svg_path),
-    )
+    umask = os.umask(0o022)
+    try:
+        code, out, _ = run_cli(
+            capsys,
+            "bench", "--family", "unit-chain", "--k-min", "2", "--k-max", "4",
+            "--repetitions", "1", "--csv", str(csv_path), "--svg", str(svg_path),
+        )
+    finally:
+        os.umask(umask)
     assert code == 0
     assert "family unit-chain: k 2..4, 3 runs" in out
     assert "derived clauses ~" in out
@@ -268,6 +284,27 @@ def test_bench_writes_csv_and_svg(capsys, tmp_path):
     assert svg_path.read_text().startswith("<svg ")
     leftovers = [p for p in os.listdir(tmp_path) if p.startswith(".treesat-")]
     assert leftovers == []
+    assert file_mode(csv_path) == file_mode(svg_path) == 0o644
+
+
+def test_every_subcommand_draws_families_from_the_registry(capsys):
+    subparsers = next(
+        a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    for name in ("generate", "solve", "saturate", "bench"):
+        family = next(
+            a for a in subparsers.choices[name]._actions if a.dest == "family"
+        )
+        assert list(family.choices) == list(FAMILIES), name
+    for name, build in FAMILIES.items():
+        code, out, _ = run_cli(capsys, "generate", "--family", name, "--k", "3")
+        assert code == 0 and out == write_dimacs(build(3)), name
+    code, out, _ = run_cli(
+        capsys,
+        "bench", "--family", "multi-branching", "--k-min", "2", "--k-max", "3",
+        "--repetitions", "1",
+    )
+    assert code == 0 and "family multi-branching: k 2..3, 2 runs" in out
 
 
 def test_output_failure_keeps_no_partial_file(capsys, tmp_path):

@@ -7,7 +7,6 @@ from treesat.forge import (
     NamedLit,
     RedundancySpec,
     TreeSpec,
-    TreeVariant,
     build_binary_tree,
     build_binomial_tree,
     build_multi_branching,
@@ -143,8 +142,6 @@ def test_depth_one_alias_degenerates_to_tautology():
 
 
 def test_spec_variant_guard():
-    with pytest.raises(ValueError):
-        build_binomial_tree(TreeSpec(variant=TreeVariant.BINARY, k=2))
     with pytest.raises(ValueError):
         build_binomial_tree(TreeSpec(k=0))
 

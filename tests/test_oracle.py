@@ -7,7 +7,6 @@ from treesat.formula import Clause, build_formula, make_clause
 from treesat.oracle import (
     BRUTE_FORCE_VAR_CAP,
     Verdict,
-    all_models,
     brute_force_sat,
     dpll_sat,
     entails,
@@ -17,6 +16,18 @@ from treesat.oracle import (
 UNSAT_TWO_VARS = build_formula(
     [Clause((1, 2)), Clause((1, -2)), Clause((-1, 2)), Clause((-1, -2))]
 )
+
+
+def all_models(formula, max_vars=20):
+    """Yield every satisfying assignment in lexicographic order."""
+    n = formula.num_vars
+    if n > max_vars:
+        raise ValueError(f"{n} variables exceeds the enumeration cap {max_vars}")
+    lit_rows = [c.lits for c in formula.clauses]
+    for m in range(1 << n):
+        model = {i: bool(m >> (n - i) & 1) for i in range(1, n + 1)}
+        if all(any(model[abs(l)] == (l > 0) for l in c) for c in lit_rows):
+            yield model
 
 
 def random_formula(rng, max_vars=10, max_clauses=25):
@@ -117,8 +128,9 @@ def test_is_dominant_detects_the_forced_root():
 
 def test_is_dominant_edge_cases():
     assert not is_dominant(UNSAT_TWO_VARS, 1)
-    with pytest.raises(ValueError):
-        is_dominant(build_unit_chain(3), 4)
+    for lit in (4, 0):
+        with pytest.raises(ValueError):
+            is_dominant(build_unit_chain(3), lit)
 
 
 def test_entails_units_and_originals():

@@ -230,8 +230,9 @@ def test_dominance_by_resolution():
     tight = Budget(max_steps=5)
     verdict = is_dominant_by_resolution(compose_two_trees(3, Closing.MATCHED), 1, tight)
     assert verdict is ResolutionDominance.BUDGET_EXHAUSTED
-    with pytest.raises(ValueError):
-        is_dominant_by_resolution(chain, 99)
+    for lit in (99, 0):
+        with pytest.raises(ValueError):
+            is_dominant_by_resolution(chain, lit)
 
 
 def test_replay_trace_reconstructs_the_store():
