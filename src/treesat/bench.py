@@ -37,7 +37,6 @@ class BenchRecord:
     dpll_verdict: str
     dpll_nodes: int
     dpll_seconds: float
-    seed: int
 
 
 COLUMNS: tuple[str, ...] = tuple(f.name for f in fields(BenchRecord))
@@ -49,14 +48,14 @@ def default_sweep_budget() -> Budget:
     return Budget(max_clauses=SWEEP_MAX_CLAUSES, max_steps=SWEEP_MAX_STEPS)
 
 
-def run_one(family: str, k: int, repetition: int, budget: Budget, seed: int) -> BenchRecord:
+def run_one(family: str, k: int, repetition: int, budget: Budget) -> BenchRecord:
     """Build one instance and time saturation and DPLL on it.  A failure in
     either phase is recorded in the corresponding status column."""
     try:
         formula = FAMILIES[family](k)
     except Exception as exc:
         label = f"error:{type(exc).__name__}"
-        return BenchRecord(family, k, repetition, 0, 0, label, 0, 0, 0.0, label, 0, 0.0, seed)
+        return BenchRecord(family, k, repetition, 0, 0, label, 0, 0, 0.0, label, 0, 0.0)
 
     start = time.perf_counter()
     try:
@@ -93,7 +92,6 @@ def run_one(family: str, k: int, repetition: int, budget: Budget, seed: int) -> 
         dpll_verdict=dpll_verdict,
         dpll_nodes=dpll_nodes,
         dpll_seconds=dpll_seconds,
-        seed=seed,
     )
 
 
@@ -102,7 +100,6 @@ def run_sweep(
     k_range: Iterable[int],
     budget: Budget | None = None,
     repetitions: int = 1,
-    seed: int = 0,
 ) -> list[BenchRecord]:
     ks = list(k_range)
     if not families:
@@ -121,7 +118,7 @@ def run_sweep(
     for family in families:
         for k in ks:
             for rep in range(repetitions):
-                records.append(run_one(family, k, rep, budget, seed))
+                records.append(run_one(family, k, rep, budget))
     return records
 
 

@@ -51,8 +51,6 @@ from .formula import (
 )
 from .oracle import brute_force_sat, dpll_sat
 from .resolution import (
-    DEFAULT_MAX_CLAUSES,
-    DEFAULT_MAX_STEPS,
     Budget,
     decision_chain_of,
     export_chain_dot,
@@ -61,46 +59,9 @@ from .resolution import (
 )
 from .verify import check_names, format_report, run_checks
 
-ENV_MAX_CLAUSES = "TREESAT_MAX_CLAUSES"
-ENV_MAX_STEPS = "TREESAT_MAX_STEPS"
-ENV_MAX_WIDTH = "TREESAT_MAX_WIDTH"
 
-_EPILOG = (
-    "Budget environment variables: "
-    f"{ENV_MAX_CLAUSES}, {ENV_MAX_STEPS} and {ENV_MAX_WIDTH} override the "
-    "built-in saturation budget defaults when the matching flag is not given."
-)
-
-def _env_int(name: str) -> int | None:
-    raw = os.environ.get(name)
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{name} must be an integer, got {raw!r}") from exc
-
-
-def _budget(
-    args: argparse.Namespace,
-    fallback_clauses: int = DEFAULT_MAX_CLAUSES,
-    fallback_steps: int = DEFAULT_MAX_STEPS,
-) -> Budget:
-    """Flag beats environment beats fallback, per budget field."""
-    max_clauses = args.max_clauses
-    if max_clauses is None:
-        max_clauses = _env_int(ENV_MAX_CLAUSES)
-    if max_clauses is None:
-        max_clauses = fallback_clauses
-    max_steps = args.max_steps
-    if max_steps is None:
-        max_steps = _env_int(ENV_MAX_STEPS)
-    if max_steps is None:
-        max_steps = fallback_steps
-    max_width = args.max_width
-    if max_width is None:
-        max_width = _env_int(ENV_MAX_WIDTH)
-    return Budget(max_clauses=max_clauses, max_steps=max_steps, max_width=max_width)
+def _budget(args: argparse.Namespace) -> Budget:
+    return Budget(max_clauses=args.max_clauses, max_steps=args.max_steps, max_width=args.max_width)
 
 
 def _parse_node(text: str) -> tuple[int, int]:
@@ -233,9 +194,19 @@ def _add_family_flags(parser: argparse.ArgumentParser, required: bool) -> None:
     parser.add_argument("--seed", type=int, default=0, help="seed for seeded constructions")
 
 
-def _add_budget_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--max-clauses", type=int, help="stop after this many stored clauses")
-    parser.add_argument("--max-steps", type=int, help="stop after this many resolution steps")
+def _add_budget_flags(parser: argparse.ArgumentParser, defaults: Budget) -> None:
+    parser.add_argument(
+        "--max-clauses",
+        type=int,
+        default=defaults.max_clauses,
+        help="stop after this many stored clauses (default %(default)s)",
+    )
+    parser.add_argument(
+        "--max-steps",
+        type=int,
+        default=defaults.max_steps,
+        help="stop after this many resolution steps (default %(default)s)",
+    )
     parser.add_argument("--max-width", type=int, help="discard resolvents wider than this")
 
 
@@ -331,14 +302,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    sweep = default_sweep_budget()
-    budget = _budget(args, fallback_clauses=sweep.max_clauses, fallback_steps=sweep.max_steps)
     records = run_sweep(
         args.family or ["binomial"],
         range(args.k_min, args.k_max + 1),
-        budget=budget,
+        budget=_budget(args),
         repetitions=args.repetitions,
-        seed=args.seed,
     )
     if args.csv is not None:
         _write_atomically(args.csv, lambda tmp: export_csv(records, tmp))
@@ -352,11 +320,10 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="treesat",
         description="Generate, solve, saturate and analyze pair-sharing tree instances.",
-        epilog=_EPILOG,
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("generate", help="write an instance as DIMACS", epilog=_EPILOG)
+    p = sub.add_parser("generate", help="write an instance as DIMACS")
     _add_family_flags(p, required=True)
     p.add_argument("--out", help="output path (default: stdout)")
     p.set_defaults(func=cmd_generate)
@@ -368,10 +335,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", action="store_true", help="print the model when satisfiable")
     p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("saturate", help="run resolution saturation", epilog=_EPILOG)
+    p = sub.add_parser("saturate", help="run resolution saturation")
     p.add_argument("--in", dest="input", help="DIMACS input path")
     _add_family_flags(p, required=False)
-    _add_budget_flags(p)
+    _add_budget_flags(p, Budget())
     p.add_argument("--trace", help="write the full resolution trace to this path")
     p.add_argument("--chain", metavar="LITS", help='report the decision chain of a clause, e.g. "1 4"')
     p.add_argument("--dot", help="write the picked chain's ancestry as Graphviz dot")
@@ -390,13 +357,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--only", action="append", choices=check_names(), help="run one named check (repeatable)")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("bench", help="sweep families and report scaling", epilog=_EPILOG)
+    p = sub.add_parser("bench", help="sweep families and report scaling")
     p.add_argument("--family", action="append", choices=FAMILIES, help="family to sweep (repeatable)")
     p.add_argument("--k-min", type=int, default=2)
     p.add_argument("--k-max", type=int, default=8)
     p.add_argument("--repetitions", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
-    _add_budget_flags(p)
+    _add_budget_flags(p, default_sweep_budget())
     p.add_argument("--csv", help="write per-run records to this path")
     p.add_argument("--svg", help="write a log-log scatter plot to this path")
     p.set_defaults(func=cmd_bench)

@@ -58,14 +58,12 @@ def candidate_combinations(m: int, k: int) -> int:
 class PathReport:
     """Root-to-boundary path tally for a depth-k pair-sharing tree.
 
-    `rows[i]` counts paths arriving at boundary row i+1; `reference`
-    holds the matching binomial coefficients C(k, i).
+    `rows[i]` counts paths arriving at boundary row i+1.
     """
 
     k: int
     rows: tuple[int, ...]
     total: int
-    reference: tuple[int, ...]
 
     def to_text(self) -> str:
         return " ".join(str(r) for r in self.rows) + f" total {self.total}"
@@ -76,7 +74,7 @@ def leaf_path_counts(k: int) -> PathReport:
     if k < 0:
         raise ValueError("depth must be non-negative")
     rows = tuple(math.comb(k, i) for i in range(k + 1))
-    return PathReport(k, rows, 2**k, rows)
+    return PathReport(k, rows, 2**k)
 
 
 def enumerate_paths(k: int) -> PathReport:
@@ -97,6 +95,4 @@ def enumerate_paths(k: int) -> PathReport:
     rows = [0] * (k + 1)
     for sequence in range(1 << k):
         rows[sequence.bit_count()] += 1
-    return PathReport(
-        k, tuple(rows), 1 << k, tuple(math.comb(k, i) for i in range(k + 1))
-    )
+    return PathReport(k, tuple(rows), 1 << k)

@@ -72,14 +72,6 @@ class Clause:
     def width(self) -> int:
         return len(self.lits)
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.lits
-
-    @property
-    def is_unit(self) -> bool:
-        return len(self.lits) == 1
-
     def variables(self) -> tuple[int, ...]:
         return tuple(abs(lit) for lit in self.lits)
 
@@ -336,6 +328,7 @@ def parse_dimacs(text: str) -> CnfFormula:
     metadata: dict[str, str] = {}
     atlas = Atlas()
     atlas_ids: dict[int, VarName] = {}
+    name_lines: dict[VarName, int] = {}
     num_vars = num_clauses = -1
     clauses: list[Clause] = []
     seen: set[tuple[int, ...]] = set()
@@ -353,9 +346,16 @@ def parse_dimacs(text: str) -> CnfFormula:
                 metadata[parts[2]] = parts[3]
             elif len(parts) >= 4 and parts[1] == "var":
                 try:
-                    atlas_ids[int(parts[2])] = parse_var_name(parts[3])
+                    name = parse_var_name(parts[3])
+                    vid = int(parts[2])
                 except ValueError as exc:
                     raise DimacsError(f"line {lineno}: {exc}") from None
+                if name in name_lines:
+                    raise DimacsError(
+                        f"line {lineno}: variable name {name} already given on line {name_lines[name]}"
+                    )
+                name_lines[name] = lineno
+                atlas_ids[vid] = name
             continue
         if line.startswith("p"):
             fields = line.split()

@@ -124,61 +124,56 @@ def _simplify(clauses: list[tuple[int, ...]], lit: int) -> list[tuple[int, ...]]
 
 
 def dpll_sat(formula: CnfFormula) -> OracleVerdict:
-    """Unit propagation + pure literals + deterministic branching."""
-    stats = {"nodes": 0, "propagations": 0}
-
-    def propagate(clauses, assignment):
-        # Units first, then pure literals, until neither applies.
-        while True:
-            unit = next((c[0] for c in clauses if len(c) == 1), None)
-            if unit is not None:
-                assignment[abs(unit)] = unit > 0
-                stats["propagations"] += 1
-                clauses = _simplify(clauses, unit)
-                if clauses is None:
-                    return None
+    """Unit propagation + pure literals + deterministic branching, run as
+    one loop over a stack of untried branches and a trail of the literals
+    set true, so search depth is not bounded by the recursion limit."""
+    nodes = propagations = 0
+    trail: list[int] = []
+    # Untried branches as (clauses before the branch, trail length to
+    # restore, branch literal); literal 0 is the root, which sets nothing.
+    stack = [([c.lits for c in formula.clauses], 0, 0)]
+    while stack:
+        clauses, mark, lit = stack.pop()
+        if lit:
+            clauses = _simplify(clauses, lit)
+            if clauses is None:
                 continue
-            polarity: dict[int, int] = {}
-            for c in clauses:
-                for l in c:
-                    polarity[abs(l)] = polarity.get(abs(l), 0) | (1 if l > 0 else 2)
-            pures = [v if p == 1 else -v for v, p in sorted(polarity.items()) if p != 3]
-            if not pures:
-                return clauses
-            for lit in pures:
-                assignment[abs(lit)] = lit > 0
-                stats["propagations"] += 1
-                clauses = _simplify(clauses, lit)
-                assert clauses is not None  # pure assignments cannot conflict
-            # Loop again: eliminating pures may have exposed nothing new,
-            # but the polarity map must be rebuilt either way.
-
-    def solve(clauses, assignment):
-        stats["nodes"] += 1
-        clauses = propagate(clauses, assignment)
+        del trail[mark:]
+        if lit:
+            trail.append(lit)
+        nodes += 1
+        # Units first (the first in clause order), then every pure literal,
+        # until neither applies.  An empty clause is a conflict.
+        while clauses is not None:
+            short = next((c for c in clauses if len(c) < 2), None)
+            if short is not None:
+                if not short:
+                    clauses = None
+                    break
+                forced = [short[0]]
+            else:
+                polarity: dict[int, int] = {}
+                for c in clauses:
+                    for l in c:
+                        polarity[abs(l)] = polarity.get(abs(l), 0) | (1 if l > 0 else 2)
+                forced = [v if p == 1 else -v for v, p in sorted(polarity.items()) if p != 3]
+                if not forced:
+                    break
+            for l in forced:
+                trail.append(l)
+                propagations += 1
+                clauses = _simplify(clauses, l)
         if clauses is None:
-            return None
+            continue
         if not clauses:
-            return assignment
-        branch_var = min(abs(l) for c in clauses for l in c)
-        for lit in (branch_var, -branch_var):
-            trial = _simplify(clauses, lit)
-            if trial is None:
-                continue
-            extended = dict(assignment)
-            extended[branch_var] = lit > 0
-            result = solve(trial, extended)
-            if result is not None:
-                return result
-        return None
-
-    start = [c.lits for c in formula.clauses]
-    assignment = solve(start, {})
-    if assignment is None:
-        return OracleVerdict(Verdict.UNSAT, None, stats["nodes"], stats["propagations"])
-    model = {v: assignment.get(v, False) for v in range(1, formula.num_vars + 1)}
-    _check_model(formula, model)
-    return OracleVerdict(Verdict.SAT, model, stats["nodes"], stats["propagations"])
+            model = dict.fromkeys(range(1, formula.num_vars + 1), False)
+            model.update((abs(l), l > 0) for l in trail)
+            _check_model(formula, model)
+            return OracleVerdict(Verdict.SAT, model, nodes, propagations)
+        var = min(abs(l) for c in clauses for l in c)
+        stack.append((clauses, len(trail), -var))
+        stack.append((clauses, len(trail), var))
+    return OracleVerdict(Verdict.UNSAT, None, nodes, propagations)
 
 
 def is_dominant(formula: CnfFormula, lit: int, oracle=dpll_sat) -> bool:

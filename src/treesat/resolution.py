@@ -117,10 +117,6 @@ class DecisionChain:
     def is_generalized_unit(self) -> bool:
         return len(self.connected) == 1
 
-    @property
-    def is_generalized_empty(self) -> bool:
-        return not self.connected
-
 
 def _clash(set_a: set[int], lits_b: tuple[int, ...]) -> list[int]:
     """The literals of clause b whose complement is in clause a, in b's

@@ -357,7 +357,7 @@ def _check_engine() -> tuple[bool, str]:
 
 @_register("bench-report", limit_seconds=300.0)
 def _check_bench() -> tuple[bool, str]:
-    records = run_sweep(["binomial"], range(2, 13), repetitions=3, seed=0)
+    records = run_sweep(["binomial"], range(2, 13), repetitions=3)
     if len(records) != 33:
         return False, f"expected 33 records, got {len(records)}"
     first_rep = [r for r in records if r.repetition == 0]

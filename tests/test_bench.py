@@ -32,21 +32,19 @@ def make_record(**overrides):
         dpll_verdict="sat",
         dpll_nodes=1,
         dpll_seconds=0.001,
-        seed=0,
     )
     base.update(overrides)
     return BenchRecord(**base)
 
 
 def test_run_one_records_both_phases():
-    record = run_one("unit-chain", 3, 0, default_sweep_budget(), seed=7)
+    record = run_one("unit-chain", 3, 0, default_sweep_budget())
     assert record.family == "unit-chain" and record.k == 3
     assert record.variables == 3 and record.clauses == 3
     assert record.saturation_status == "saturated"
     assert record.derived_clauses == 3
     assert record.dpll_verdict == "sat"
     assert record.dpll_nodes >= 1
-    assert record.seed == 7
     assert record.saturation_seconds >= 0 and record.dpll_seconds >= 0
 
 
@@ -55,7 +53,7 @@ def test_run_one_records_generator_failures(monkeypatch):
         raise RuntimeError("boom")
 
     monkeypatch.setitem(FAMILIES, "unit-chain", broken)
-    record = run_one("unit-chain", 3, 0, default_sweep_budget(), seed=0)
+    record = run_one("unit-chain", 3, 0, default_sweep_budget())
     assert record.saturation_status == "error:RuntimeError"
     assert record.dpll_verdict == "error:RuntimeError"
     assert record.variables == 0 and record.clauses == 0
@@ -63,13 +61,13 @@ def test_run_one_records_generator_failures(monkeypatch):
 
 def test_run_one_isolates_phase_failures(monkeypatch):
     monkeypatch.setattr(bench, "saturate", lambda f, b: (_ for _ in ()).throw(OSError))
-    record = run_one("unit-chain", 3, 0, default_sweep_budget(), seed=0)
+    record = run_one("unit-chain", 3, 0, default_sweep_budget())
     assert record.saturation_status == "error:OSError"
     assert record.dpll_verdict == "sat"
 
 
 def test_run_sweep_shape_and_order():
-    records = run_sweep(["unit-chain", "binary"], range(2, 4), repetitions=2, seed=1)
+    records = run_sweep(["unit-chain", "binary"], range(2, 4), repetitions=2)
     assert len(records) == 8
     assert [(r.family, r.k, r.repetition) for r in records[:4]] == [
         ("unit-chain", 2, 0),
@@ -77,7 +75,6 @@ def test_run_sweep_shape_and_order():
         ("unit-chain", 3, 0),
         ("unit-chain", 3, 1),
     ]
-    assert all(r.seed == 1 for r in records)
 
 
 def test_run_sweep_validation():

@@ -115,6 +115,21 @@ def test_solve_model_with_a_partial_atlas(capsys, tmp_path):
     assert out.splitlines() == ["sat", "x1.1=0 2=1 3=1"]
 
 
+def test_solve_decides_an_empty_clause_unsat(capsys, tmp_path):
+    path = tmp_path / "empty.cnf"
+    path.write_text("p cnf 2 2\n1 2 0\n0\n")
+    for oracle in ("dpll", "brute"):
+        code, out, err = run_cli(capsys, "solve", "--in", str(path), "--oracle", oracle)
+        assert (code, out, err) == (20, "unsat\n", "")
+
+
+def test_solve_rejects_a_name_given_twice(capsys, tmp_path):
+    path = tmp_path / "twice.cnf"
+    path.write_text("c var 1 z0\nc var 2 z0\np cnf 2 1\n1 2 0\n")
+    code, _, err = run_cli(capsys, "solve", "--in", str(path))
+    assert code == 1 and "line 2: variable name z0" in err
+
+
 def test_solve_reads_dimacs_files(capsys, tmp_path):
     path = tmp_path / "matched.cnf"
     path.write_text(write_dimacs(compose_two_trees(2, Closing.MATCHED)))
@@ -192,17 +207,13 @@ def test_saturate_trace_export(capsys, tmp_path):
     assert lines[0].endswith("-> 3 : 1 3")
 
 
-def test_budget_env_and_flag_precedence(capsys, monkeypatch):
-    monkeypatch.setenv("TREESAT_MAX_STEPS", "2")
-    _, out, _ = run_cli(capsys, "saturate", "--family", "unit-chain", "--k", "4")
+def test_max_steps_flag_caps_saturation(capsys):
+    _, out, _ = run_cli(capsys, "saturate", "--family", "unit-chain", "--k", "4", "--max-steps", "2")
     assert "status budget-exhausted" in out
     _, out, _ = run_cli(
         capsys, "saturate", "--family", "unit-chain", "--k", "4", "--max-steps", "1000"
     )
     assert "status saturated" in out
-    monkeypatch.setenv("TREESAT_MAX_STEPS", "lots")
-    code, _, err = run_cli(capsys, "saturate", "--family", "unit-chain", "--k", "4")
-    assert code == 2 and "TREESAT_MAX_STEPS" in err
 
 
 def test_max_width_flag_limits_resolvents(capsys):

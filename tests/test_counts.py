@@ -78,7 +78,6 @@ def test_leaf_path_counts_golden():
     report = leaf_path_counts(3)
     assert report.rows == (1, 3, 3, 1)
     assert report.total == 8
-    assert report.reference == report.rows
     assert report.to_text() == "1 3 3 1 total 8"
 
 

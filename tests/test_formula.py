@@ -40,12 +40,11 @@ def test_clause_canonical_form_enforced():
 
 def test_clause_properties():
     c = Clause((1, -3))
-    assert c.width == 2 and not c.is_empty and not c.is_unit
+    assert c.width == 2
     assert c.variables() == (1, 3)
     assert -3 in c.lits and 3 not in c.lits
     assert str(c) == "1 -3"
-    assert EMPTY_CLAUSE.is_empty and str(EMPTY_CLAUSE) == "<empty>"
-    assert Clause((7,)).is_unit
+    assert EMPTY_CLAUSE.width == 0 and str(EMPTY_CLAUSE) == "<empty>"
 
 
 def test_make_clause_sorts_merges_and_detects_tautology():
@@ -198,6 +197,7 @@ def test_parse_dimacs_duplicate_clauses_counted_against_header():
         ("", "missing header"),
         ("c var 2 x1.1\np cnf 2 1\n1 0\n", "contiguous"),
         ("c var 1 what\np cnf 1 1\n1 0\n", "unrecognized"),
+        ("c var 1 z0\nc var 2 z0\np cnf 2 1\n1 0\n", "line 2: variable name z0 already given on line 1"),
     ],
 )
 def test_parse_dimacs_rejects_malformed_input(text, fragment):

@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from treesat.forge import build_unit_chain, compose_two_trees, Closing
-from treesat.formula import Clause, build_formula, make_clause
+from treesat.forge import FAMILIES, build_unit_chain, compose_two_trees, Closing
+from treesat.formula import EMPTY_CLAUSE, Clause, build_formula, make_clause
 from treesat.oracle import (
     BRUTE_FORCE_VAR_CAP,
     Verdict,
@@ -79,11 +79,44 @@ def test_dpll_verdicts_on_tree_compositions():
     assert dpll_sat(compose_two_trees(3, Closing.CROSSED)).is_sat
 
 
+# (family, k) -> (status, nodes, propagations).  Pinned exactly, so any
+# change to DPLL's propagation or branching order shows here.
+DPLL_COUNTS = {
+    ("unit-chain", 4): (Verdict.SAT, 1, 3),
+    ("pair-chain", 6): (Verdict.SAT, 2, 5),
+    ("binary", 4): (Verdict.SAT, 1, 15),
+    ("binomial", 8): (Verdict.SAT, 2, 35),
+    ("compose-matched", 3): (Verdict.UNSAT, 11, 22),
+    ("compose-matched", 8): (Verdict.UNSAT, 31, 142),
+    ("compose-crossed", 8): (Verdict.SAT, 9, 71),
+    ("multi-branching", 3): (Verdict.SAT, 1, 12),
+}
+
+
 def test_dpll_counts_nodes_and_propagations():
-    verdict = dpll_sat(build_unit_chain(4))
+    for (family, k), expected in DPLL_COUNTS.items():
+        verdict = dpll_sat(FAMILIES[family](k))
+        assert (verdict.status, verdict.nodes, verdict.propagations) == expected, (family, k)
+
+
+def test_dpll_searches_deeper_than_the_recursion_limit():
+    # 1,500 independent pairs (x|y)(~x|~y): no unit and no pure literal
+    # anywhere, so every pair is one branch, each forcing its partner.
+    clauses = []
+    for x in range(1, 3001, 2):
+        clauses += [Clause((x, x + 1)), Clause((-x, -(x + 1)))]
+    f = build_formula(clauses)
+    verdict = dpll_sat(f)
     assert verdict.is_sat
-    assert verdict.nodes >= 1
-    assert verdict.propagations >= 1
+    assert all(any(verdict.model[abs(l)] == (l > 0) for l in c.lits) for c in clauses)
+    assert (verdict.nodes, verdict.propagations) == (1501, 1500)
+
+
+def test_oracles_agree_on_an_empty_clause():
+    f = build_formula([Clause((1, 2)), EMPTY_CLAUSE])
+    assert not brute_force_sat(f).is_sat
+    assert not dpll_sat(f).is_sat
+    assert not is_dominant(f, 1)
 
 
 def test_oracles_agree_on_random_formulas():

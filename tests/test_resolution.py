@@ -202,7 +202,7 @@ def test_decision_chain_of_the_derived_unit():
     assert chain.resolved == (2, 3)
     assert chain.length == 2
     assert chain.connected == frozenset({1})
-    assert chain.is_generalized_unit and not chain.is_generalized_empty
+    assert chain.is_generalized_unit
 
 
 def test_decision_chain_lengths_scale_with_chain_size():
@@ -218,7 +218,7 @@ def test_decision_chain_of_original_and_empty():
     original = decision_chain_of(result, 0)
     assert original.resolved == () and original.connected == frozenset({1})
     empty = decision_chain_of(result, 2)
-    assert empty.resolved == (1,) and empty.is_generalized_empty
+    assert empty.resolved == (1,) and not empty.connected
     with pytest.raises(ValueError):
         decision_chain_of(result, 99)
 
