@@ -35,8 +35,6 @@ from .forge import (
     build_pair_chain,
     build_unit_chain,
     compose_two_trees,
-    gen_redundancy_clauses,
-    make_implicit,
     parse_closure,
     tree_nodes,
 )

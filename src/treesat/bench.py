@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 from .forge import FAMILIES
 from .oracle import dpll_sat
-from .resolution import Budget, saturate
+from .resolution import Budget, SaturationStatus, saturate
 
 # Sweep budgets are deliberately small: a sweep probes growth trends, and
 # budget exhaustion is an honest recorded status, not a failure.
@@ -196,7 +196,8 @@ def _fit_line(label: str, fit: PowerLawFit | None) -> str:
 def summarize(records: Sequence[BenchRecord]) -> str:
     """Plain-text report: one block per family with verdicts and the two
     scaling fits (derived clauses and DPLL nodes, both against variable
-    count)."""
+    count).  Runs stopped at the budget are counted: their derived clauses
+    measure the budget, not the work saturation needs."""
     if not records:
         raise ValueError("no records to summarize")
     lines = []
@@ -214,6 +215,9 @@ def summarize(records: Sequence[BenchRecord]) -> str:
             "derived clauses",
             fit_power_law([(r.variables, r.derived_clauses) for r in rows]),
         ))
+        capped = sum(r.saturation_status == str(SaturationStatus.BUDGET_EXHAUSTED) for r in rows)
+        if capped:
+            lines.append(f"    {capped} of {len(rows)} runs stopped at the saturation budget")
         lines.append(_fit_line(
             "dpll nodes    ",
             fit_power_law([(r.variables, r.dpll_nodes) for r in rows]),

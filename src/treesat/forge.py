@@ -89,7 +89,8 @@ class RedundancySpec:
 
 @dataclass(frozen=True)
 class TreeSpec:
-    """Recipe for one generated formula of the pair-sharing tree family."""
+    """Recipe for one generated formula of the pair-sharing tree family.
+    Redundancy clauses are drawn before any node is made implicit."""
 
     k: int = 3
     closure: Closure = Alias(1)
@@ -127,7 +128,7 @@ def tree_nodes(k: int) -> list[TreeNode]:
 
 class _Emitter:
     """Accumulates clauses against a shared atlas, resolving slot names
-    through a substitution map (closure aliases and literal substitutions)."""
+    through a substitution map (aliases, substitutions, implicit nodes)."""
 
     def __init__(self) -> None:
         self.atlas = Atlas()
@@ -173,6 +174,9 @@ def _emit_binomial(
     if isinstance(closure, Alias):
         if not 1 <= closure.row <= k + 1:
             raise ValueError(f"closure row {closure.row} outside boundary 1..{k + 1}")
+        if k == 1:
+            # At k = 1 the alias would write the root into its own triple.
+            raise ValueError("an alias closure needs depth at least 2 (use clause:ROW or none)")
         em.bind(SlotVar(k + 1, closure.row, tree), alias_lit if alias_lit is not None else root_lit)
     for level in range(1, k + 1):
         for row in range(1, level + 1):
@@ -305,15 +309,21 @@ def build_binomial_tree(spec: TreeSpec) -> CnfFormula:
             f"{slot}={lit}" for slot, lit in spec.substitutions
         )
     formula = _finish(em, metadata)
+    if not spec.redundancy and not spec.implicit_nodes:
+        return formula
+    # Transforms edit the deduplicated tree; the metadata keeps describing
+    # the tree as built (width-two count included) plus one tag per kind.
+    em.clauses = list(formula.clauses)
     for red in spec.redundancy:
-        extra = gen_redundancy_clauses(formula, red.node, red.count, red.seed)
-        formula = formula.with_extra(extra)
-        notes = formula.metadata.get("redundancy", "")
-        tag = f"{red.node[0]}.{red.node[1]}:{red.count}:{red.seed}"
-        formula.metadata["redundancy"] = f"{notes};{tag}" if notes else tag
+        _add_redundancy(em, spec.k, root_lit, red)
     for node, via in spec.implicit_nodes:
-        formula = make_implicit(formula, node, via)
-    return formula
+        _make_implicit(em, spec.k, root_lit, node, via)
+    tags = {
+        "redundancy": [f"{r.node[0]}.{r.node[1]}:{r.count}:{r.seed}" for r in spec.redundancy],
+        "implicit": [f"{level}.{row}:{via}" for (level, row), via in spec.implicit_nodes],
+    }
+    metadata = formula.metadata | {key: ";".join(items) for key, items in tags.items() if items}
+    return build_formula(em.clauses, formula.num_vars, em.atlas, metadata)
 
 
 def _apply_substitutions(em: _Emitter, spec: TreeSpec) -> None:
@@ -366,15 +376,7 @@ def build_multi_branching(k_top: int, k_sub: int = 1) -> CnfFormula:
         raise ValueError("subtree depth must be at least 1")
     em = _Emitter()
     root = em.lit(RootVar())
-    for level in range(1, k_top):
-        for row in range(1, level + 1):
-            entry = root if level == 1 else em.lit(SlotVar(level, row), negated=True)
-            _emit_triple(
-                em,
-                entry,
-                em.lit(SlotVar(level + 1, row)),
-                em.lit(SlotVar(level + 1, row + 1)),
-            )
+    _emit_binomial(em, k_top - 1, root, None)
     # Last top level: rows 2r-1 and 2r of the boundary namespace make the
     # pairs disjoint; each such variable roots an attached subtree.
     branch_roots: list[int] = []
@@ -414,56 +416,58 @@ FAMILIES: dict[str, Callable[[int], CnfFormula]] = {
 
 
 # ---------------------------------------------------------------------------
-# transforms on generated trees
-
-
-def _tree_params(formula: CnfFormula) -> tuple[int, Closure, dict[VarName, int], int]:
-    """Recover (k, closure, slot substitution map, root literal) from a
-    pair-sharing tree formula's metadata."""
-    if formula.metadata.get("family") != "binomial":
-        raise ValueError("this transform needs a pair-sharing tree formula")
-    k = int(formula.metadata["k"])
-    closure = parse_closure(formula.metadata.get("closure", "none"))
-    root = formula.lit(RootVar(), negated=formula.metadata.get("root") == "neg")
-    sub: dict[VarName, int] = {}
-    if isinstance(closure, Alias):
-        sub[SlotVar(k + 1, closure.row)] = root
-    for item in filter(None, formula.metadata.get("substitutions", "").split(";")):
-        slot_text, _, lit_text = item.partition("=")
-        named = NamedLit.parse(lit_text)
-        lit = formula.lit(named.name, named.negated)
-        sub[parse_var_name(slot_text)] = lit
-    for tag in filter(None, formula.metadata.get("implicit", "").split(";")):
-        node_text, _, via_text = tag.partition(":")
-        level, row = (int(p) for p in node_text.split("."))
-        left = SlotVar(level + 1, row)
-        sub[parse_var_name(via_text)] = sub[left] if left in sub else formula.lit(left)
-    return k, closure, sub, root
-
-
-def _slot_lit(formula: CnfFormula, sub: dict[VarName, int], slot: SlotVar) -> int:
-    if slot in sub:
-        return sub[slot]
-    return formula.lit(slot)
+# transforms applied while a pair-sharing tree is built
 
 
 def _cone_slots(node: tuple[int, int], k: int) -> list[SlotVar]:
     """Boundary slots reachable from a node: rows fan out one per level."""
     level, row = node
-    out = []
-    for boundary in range(level + 1, k + 2):
-        for r in range(row, row + boundary - level + 1):
-            out.append(SlotVar(boundary, r))
-    return out
-
-
-def _check_node(node: tuple[int, int], k: int) -> None:
-    level, row = node
     if not 1 <= row <= level <= k:
         raise ValueError(f"no node at level {level}, row {row} in a depth-{k} tree")
+    return [
+        SlotVar(boundary, r)
+        for boundary in range(level + 1, k + 2)
+        for r in range(row, row + boundary - level + 1)
+    ]
 
 
-def make_implicit(formula: CnfFormula, node: tuple[int, int], via: SlotVar) -> CnfFormula:
+def _add_redundancy(em: _Emitter, k: int, root_lit: int, red: RedundancySpec) -> None:
+    """Append entailed extra clauses shaped like the node clause
+    (~entry | u | v), with u, v drawn from the node's descendant cone.
+
+    Wherever the entry variable is true the whole cone below it is forced
+    true, so any such clause with at most one negated member is a logical
+    consequence; a seeded shuffle picks `count` of them, skipping clauses
+    already present."""
+    if red.count < 1:
+        raise ValueError("count must be at least 1")
+    level, row = red.node
+    cone = [em.lit(s) for s in _cone_slots(red.node, k)]
+    if level == k:
+        raise ValueError(f"node {red.node} has no descendant nodes (leaf level)")
+    entry = root_lit if level == 1 else em.lit(SlotVar(level, row), negated=True)
+    candidates = [(u, v) for i, u in enumerate(cone) for v in cone[i + 1 :]]
+    candidates += [(-u, v) for u in cone for v in cone if u != v]
+    random.Random(red.seed).shuffle(candidates)
+    taken = {c.lits for c in em.clauses}
+    fresh = []
+    for u, v in candidates:
+        clause = make_clause([entry, u, v])
+        if isinstance(clause, Clause) and clause.width == 3 and clause.lits not in taken:
+            taken.add(clause.lits)
+            fresh.append(clause)
+            if len(fresh) == red.count:
+                em.clauses += fresh
+                return
+    raise ValueError(
+        f"only {len(fresh)} distinct redundancy clauses exist for node {red.node}, "
+        f"requested {red.count}"
+    )
+
+
+def _make_implicit(
+    em: _Emitter, k: int, root_lit: int, node: tuple[int, int], via: SlotVar
+) -> None:
     """Drop a node's two switching clauses and alias a descendant boundary
     slot to the node's left pair variable.
 
@@ -471,89 +475,31 @@ def make_implicit(formula: CnfFormula, node: tuple[int, int], via: SlotVar) -> C
     descendant triples: resolution walks from the node's right slot down
     to `via`, whose occurrences now read as the left variable.  Aliasing
     the immediate right slot degenerates to the explicit triple."""
-    k, closure, sub, root = _tree_params(formula)
-    _check_node(node, k)
+    cone = _cone_slots(node, k)
     level, row = node
-    cone = set(_cone_slots(node, k))
     if via not in cone:
         raise ValueError(f"{via} is not a descendant boundary slot of node {node}")
     if via == SlotVar(level + 1, row):
         raise ValueError("cannot alias the node's left slot to itself")
-    if via in sub or (isinstance(closure, Alias) and via == SlotVar(k + 1, closure.row)):
+    if via in em.sub:
         raise ValueError(f"{via} was already substituted or aliased away")
 
-    entry = root if level == 1 else -_slot_lit(formula, sub, SlotVar(level, row))
-    left = _slot_lit(formula, sub, SlotVar(level + 1, row))
-    right = _slot_lit(formula, sub, SlotVar(level + 1, row + 1))
-    switching = {make_clause([entry, left, -right]).lits, make_clause([entry, -left, right]).lits}
-    kept = [c for c in formula.clauses if c.lits not in switching]
-    if len(kept) != len(formula.clauses) - 2:
+    entry = root_lit if level == 1 else em.lit(SlotVar(level, row), negated=True)
+    left = em.lit(SlotVar(level + 1, row))
+    right = em.lit(SlotVar(level + 1, row + 1))
+    switching = {make_clause([entry, left, -right]), make_clause([entry, -left, right])}
+    if not switching <= set(em.clauses):
         raise ValueError(f"switching clauses of node {node} are not present")
 
-    via_id = formula.atlas.id_of(via)
-    rewritten: list[Clause] = []
-    for clause in kept:
-        if via_id in clause.variables():
-            remapped = make_clause(
-                [left if l == via_id else -left if l == -via_id else l for l in clause.lits]
-            )
-            if isinstance(remapped, Tautology):
-                raise ValueError(f"aliasing {via} makes clause {clause} tautologous")
-            rewritten.append(remapped)
-        else:
-            rewritten.append(clause)
-
-    metadata = dict(formula.metadata)
-    tag = f"{level}.{row}:{via}"
-    metadata["implicit"] = (
-        f"{metadata['implicit']};{tag}" if "implicit" in metadata else tag
-    )
-    return build_formula(
-        rewritten, num_vars=formula.num_vars, atlas=formula.atlas, metadata=metadata
-    )
-
-
-def gen_redundancy_clauses(
-    formula: CnfFormula, node: tuple[int, int], count: int, seed: int
-) -> list[Clause]:
-    """Entailed extra clauses shaped like the node clause (~entry | u | v),
-    with u, v drawn from the node's descendant cone.
-
-    Wherever the entry variable is true the whole cone below it is forced
-    true, so any such clause with at most one negated member is a logical
-    consequence; a seeded shuffle picks `count` of them, skipping clauses
-    already present."""
-    if count < 1:
-        raise ValueError("count must be at least 1")
-    k, closure, sub, root = _tree_params(formula)
-    if "implicit" in formula.metadata:
-        raise ValueError("redundancy generation requires explicit switching clauses")
-    _check_node(node, k)
-    level, row = node
-    if level == k:
-        raise ValueError(f"node {node} has no descendant nodes (leaf level)")
-
-    cone = [_slot_lit(formula, sub, s) for s in _cone_slots(node, k)]
-    entry = root if level == 1 else -_slot_lit(formula, sub, SlotVar(level, row))
-    candidates = [(u, v) for i, u in enumerate(cone) for v in cone[i + 1 :]]
-    candidates += [(-u, v) for u in cone for v in cone if u != v]
-    rng = random.Random(seed)
-    rng.shuffle(candidates)
-
-    existing = {c.lits for c in formula.clauses}
-    out: list[Clause] = []
-    chosen: set[tuple[int, ...]] = set()
-    for u, v in candidates:
-        clause = make_clause([entry, u, v])
-        if isinstance(clause, Tautology) or clause.width != 3:
+    via_id = em.lit(via)
+    swap = {via_id: left, -via_id: -left}
+    rewritten = []
+    for clause in em.clauses:
+        if clause in switching:
             continue
-        if clause.lits in existing or clause.lits in chosen:
-            continue
-        chosen.add(clause.lits)
-        out.append(clause)
-        if len(out) == count:
-            return out
-    raise ValueError(
-        f"only {len(out)} distinct redundancy clauses exist for node {node}, "
-        f"requested {count}"
-    )
+        remapped = make_clause([swap.get(l, l) for l in clause.lits])
+        if isinstance(remapped, Tautology):
+            raise ValueError(f"aliasing {via} makes clause {clause} tautologous")
+        rewritten.append(remapped)
+    em.clauses = rewritten
+    em.bind(via, left)

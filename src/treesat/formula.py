@@ -329,6 +329,7 @@ def parse_dimacs(text: str) -> CnfFormula:
     atlas = Atlas()
     atlas_ids: dict[int, VarName] = {}
     name_lines: dict[VarName, int] = {}
+    id_lines: dict[int, int] = {}
     num_vars = num_clauses = -1
     clauses: list[Clause] = []
     seen: set[tuple[int, ...]] = set()
@@ -354,7 +355,12 @@ def parse_dimacs(text: str) -> CnfFormula:
                     raise DimacsError(
                         f"line {lineno}: variable name {name} already given on line {name_lines[name]}"
                     )
+                if vid in id_lines:
+                    raise DimacsError(
+                        f"line {lineno}: variable id {vid} already named on line {id_lines[vid]}"
+                    )
                 name_lines[name] = lineno
+                id_lines[vid] = lineno
                 atlas_ids[vid] = name
             continue
         if line.startswith("p"):

@@ -227,37 +227,36 @@ def saturate(formula: CnfFormula, budget: Budget | None = None) -> SaturationRes
     return SaturationResult(status, clauses, n_original, tuple(trace), counters)
 
 
-def decision_chain_of(result: SaturationResult, clause_id: int) -> DecisionChain:
-    """Chain of resolved variables along the recorded (first) derivation."""
+def _ancestry(
+    result: SaturationResult, clause_id: int
+) -> tuple[dict[int, ResolutionStep], list[int]]:
+    """The step that recorded each derived clause, and the ids of a clause
+    and all its ancestors in ascending order.  Ascending is topological:
+    a resolvent's id is always greater than both its parents' ids."""
     if not 0 <= clause_id < len(result.store):
         raise ValueError(f"unknown clause id {clause_id}")
     step_for = {s.result: s for s in result.trace}
-    memo: dict[int, tuple[int, ...]] = {}
+    keep: set[int] = set()
+    todo = [clause_id]
+    while todo:
+        cid = todo.pop()
+        if cid in keep:
+            continue
+        keep.add(cid)
+        if cid in step_for:
+            todo += [step_for[cid].left, step_for[cid].right]
+    return step_for, sorted(keep)
 
-    def chain(cid: int) -> tuple[int, ...]:
-        if cid in memo:
-            return memo[cid]
-        stack = [cid]
-        while stack:
-            top = stack[-1]
-            if top in memo:
-                stack.pop()
-                continue
-            if top < result.n_original:
-                memo[top] = ()
-                stack.pop()
-                continue
-            step = step_for[top]
-            missing = [p for p in (step.left, step.right) if p not in memo]
-            if missing:
-                stack.extend(missing)
-                continue
-            memo[top] = memo[step.left] + memo[step.right] + (step.var,)
-            stack.pop()
-        return memo[cid]
 
+def decision_chain_of(result: SaturationResult, clause_id: int) -> DecisionChain:
+    """Chain of resolved variables along the recorded (first) derivation."""
+    step_for, ancestors = _ancestry(result, clause_id)
+    chain: dict[int, tuple[int, ...]] = {}
+    for cid in ancestors:
+        step = step_for.get(cid)
+        chain[cid] = () if step is None else chain[step.left] + chain[step.right] + (step.var,)
     clause = result.store[clause_id]
-    return DecisionChain(clause, chain(clause_id), frozenset(clause.variables()))
+    return DecisionChain(clause, chain[clause_id], frozenset(clause.variables()))
 
 
 def is_dominant_by_resolution(
@@ -304,23 +303,12 @@ def export_trace(result: SaturationResult) -> str:
 def export_chain_dot(result: SaturationResult, clause_id: int) -> str:
     """Ancestry of one derived clause as a DOT graph: nodes are clauses,
     edges run parent -> resolvent labeled with the resolved variable."""
-    if not 0 <= clause_id < len(result.store):
-        raise ValueError(f"unknown clause id {clause_id}")
-    step_for = {s.result: s for s in result.trace}
-    keep: set[int] = set()
-    todo = [clause_id]
-    while todo:
-        cid = todo.pop()
-        if cid in keep:
-            continue
-        keep.add(cid)
-        if cid in step_for:
-            todo += [step_for[cid].left, step_for[cid].right]
+    step_for, ancestors = _ancestry(result, clause_id)
     lines = ["digraph chain {"]
-    for cid in sorted(keep):
+    for cid in ancestors:
         shape = "box" if cid < result.n_original else "ellipse"
         lines.append(f'  c{cid} [label="#{cid}: {result.store[cid]}" shape={shape}];')
-    for cid in sorted(keep):
+    for cid in ancestors:
         if cid in step_for:
             step = step_for[cid]
             lines.append(f'  c{step.left} -> c{cid} [label="{step.var}"];')

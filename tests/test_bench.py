@@ -130,6 +130,9 @@ def test_summarize_reports_each_family():
     assert "family binomial: k 2..5, 4 runs" in text
     assert "derived clauses ~" in text
     assert "dpll nodes" in text
+    # Only binomial k = 3..5 stop at the sweep budget.
+    assert text.count("runs stopped at the saturation budget") == 1
+    assert "3 of 4 runs stopped at the saturation budget" in text
     with pytest.raises(ValueError):
         summarize([])
 

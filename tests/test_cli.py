@@ -1,5 +1,6 @@
 import argparse
 import os
+import random
 import stat
 
 import pytest
@@ -86,6 +87,10 @@ def test_generate_rejects_bad_closure_text(capsys):
         capsys, "generate", "--family", "binomial", "--k", "3", "--closure", "pivot:1"
     )
     assert code == 2 and "closure" in err
+    # At depth 1 any alias writes the root into its own triple.
+    code, out, err = run_cli(capsys, "generate", "--family", "binomial", "--k", "1")
+    assert code == 2 and out == ""
+    assert err.startswith("error: an alias closure needs depth at least 2")
 
 
 def test_solve_family_exit_codes(capsys):
@@ -359,3 +364,127 @@ def test_solve_round_trips_generated_files(capsys, tmp_path):
     assert code == 0
     code, out, _ = run_cli(capsys, "solve", "--in", str(path))
     assert code == 10 and out == "sat\n"
+
+
+# Seeds for the fuzz test: small formulas (few variables, so even the
+# brute-force oracle stays fast) and the pieces mutations splice in.
+FUZZ_SEEDS = [
+    write_dimacs(build_unit_chain(3)),
+    write_dimacs(build_binomial_tree(TreeSpec(k=2))),
+    write_dimacs(compose_two_trees(2, Closing.MATCHED)),
+    PARTLY_NAMED,
+    "p cnf 0 0\n",
+]
+FUZZ_TOKENS = ["0", "-1", "1", "2", "-3", "7", "x", "", "c", "p", "cnf", "var", "meta",
+               "z0", "s3.1", "x1.1", "-0", "1.5"]
+FUZZ_LINES = ["c var 1 z0", "c var 9 s2.1", "c var 2 x1.1", "p cnf 3 2", "0", "c meta k 3",
+              "1 -1 0", "c", "p cnf 0 0", "2 3"]
+
+
+def mutate_dimacs(rng, text):
+    lines = text.splitlines()
+    for _ in range(rng.randint(1, 3)):
+        kind = rng.randrange(6)
+        at = rng.randrange(len(lines) + 1)
+        if kind == 0 and lines:
+            del lines[min(at, len(lines) - 1)]
+        elif kind == 1 and lines:
+            lines.insert(at, rng.choice(lines))
+        elif kind == 2 and len(lines) > 1:
+            i, j = rng.sample(range(len(lines)), 2)
+            lines[i], lines[j] = lines[j], lines[i]
+        elif kind == 3 and lines:
+            i = min(at, len(lines) - 1)
+            tokens = lines[i].split() or [""]
+            tokens[rng.randrange(len(tokens))] = rng.choice(FUZZ_TOKENS)
+            lines[i] = " ".join(tokens)
+        elif kind == 4:
+            lines.insert(at, rng.choice(FUZZ_LINES))
+        else:
+            joined = "\n".join(lines)
+            lines = joined[: rng.randint(0, len(joined))].splitlines()
+    return "\n".join(lines) + rng.choice(["\n", ""])
+
+
+def fuzz_family_flags(rng):
+    argv = ["--family", rng.choice(list(FAMILIES) + ["bogus"]), "--k", str(rng.randint(-1, 4))]
+    choices = {
+        "--closure": ["alias:1", "alias:3", "clause:2", "none", "alias", "pivot:1", "clause:0"],
+        "--sub": ["s3.2=z0", "s3.3=~z0", "s4.2=z0", "x1.1=z0", "s3.1", "s2.2=~x1.1", "s3.2=q"],
+        "--implicit": ["2.1=s4.2", "1.1=s3.3", "2.1=s3.1", "1.1=x1.1", "x=s3.1", "2.1", "1.1=s2.2"],
+        "--redundancy": ["1.1:3", "2.1:2", "1.1:0", "1.1:x", "3.1:1", "1.1:1000", "1.1"],
+        "--k-sub": ["-1", "0", "1", "2"],
+        "--seed": ["0", "3", "-2"],
+    }
+    for flag, values in choices.items():
+        for _ in range(rng.choice((0, 0, 1, 2))):
+            argv += [flag, rng.choice(values)]
+    if rng.random() < 0.3:
+        argv.append("--negate-root")
+    return argv
+
+
+def fuzz_input(rng, tmp_path, n):
+    if rng.random() < 0.5:
+        return fuzz_family_flags(rng)
+    path = tmp_path / f"in{n}.cnf"
+    path.write_text(mutate_dimacs(rng, rng.choice(FUZZ_SEEDS)))
+    return ["--in", str(path)]
+
+
+def fuzz_argv(rng, tmp_path, n):
+    sub = rng.choice(["generate", "solve", "saturate", "analyze", "verify", "bench"])
+    if sub == "generate":
+        argv = fuzz_family_flags(rng)
+    elif sub == "solve":
+        argv = fuzz_input(rng, tmp_path, n) + rng.choice(
+            [[], ["--model"], ["--oracle", "brute"], ["--oracle", "brute", "--model"]]
+        )
+    elif sub == "saturate":
+        argv = fuzz_input(rng, tmp_path, n) + [
+            "--max-clauses", str(rng.randint(-1, 300)), "--max-steps", str(rng.randint(-1, 3000)),
+        ]
+        if rng.random() < 0.5:
+            argv += ["--chain", rng.choice(["1", "-1", "1 2", "1 -1", "x", "0", ""])]
+        if rng.random() < 0.3:
+            argv += ["--dot", str(tmp_path / f"c{n}.dot")]
+        if rng.random() < 0.3:
+            argv += ["--trace", str(tmp_path / f"t{n}.trace")]
+    elif sub == "analyze":
+        argv = rng.sample(["--paths", "--vars"], rng.randint(0, 2))
+        if rng.random() < 0.8:
+            argv += ["--k", str(rng.choice([-2, -1, 0, 1, 3, 12, 30]))]
+        if rng.random() < 0.3:
+            argv += ["--depth-for", str(rng.randint(-5, 100))]
+        if rng.random() < 0.3:
+            argv += ["--combinations", str(rng.randint(-2, 6)), str(rng.randint(-2, 6))]
+        if rng.random() < 0.3:
+            argv += ["--tree", rng.choice(["binary", "binomial", "bogus"])]
+    elif sub == "verify":
+        argv = rng.choice([[], ["--only"]]) + ["--only", rng.choice(["combination-counts", "bogus"])]
+    else:
+        argv = [
+            "--family", rng.choice(["unit-chain", "pair-chain", "bogus"]),
+            "--k-min", str(rng.randint(-1, 3)), "--k-max", str(rng.randint(-1, 4)),
+            "--repetitions", str(rng.randint(-1, 2)), "--max-clauses", str(rng.randint(1, 200)),
+        ]
+        if rng.random() < 0.3:
+            argv += ["--csv", str(tmp_path / f"b{n}.csv"), "--svg", str(tmp_path / f"b{n}.svg")]
+    argv = [sub] + argv
+    if rng.random() < 0.15:
+        argv.insert(rng.randint(1, len(argv)), rng.choice(["--k", "-1", "--bogus", ""]))
+    if len(argv) > 1 and rng.random() < 0.15:
+        del argv[rng.randrange(1, len(argv))]
+    return argv
+
+
+def test_cli_fuzz_exits_with_a_documented_code(capsys, tmp_path):
+    rng = random.Random(20261018)
+    for n in range(300):
+        argv = fuzz_argv(rng, tmp_path, n)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        capsys.readouterr()
+        assert code in {0, 1, 2, 10, 20}, argv

@@ -13,8 +13,6 @@ from treesat.forge import (
     build_pair_chain,
     build_unit_chain,
     compose_two_trees,
-    gen_redundancy_clauses,
-    make_implicit,
     parse_closure,
     tree_nodes,
 )
@@ -135,8 +133,10 @@ def test_closure_row_choice_and_bounds():
 
 
 def test_depth_one_alias_degenerates_to_tautology():
-    with pytest.raises(ValueError, match="tautologous"):
-        build_binomial_tree(TreeSpec(k=1))
+    for closure in (Alias(1), Alias(2)):
+        for negated in (False, True):
+            with pytest.raises(ValueError, match="alias closure needs depth at least 2"):
+                build_binomial_tree(TreeSpec(k=1, closure=closure, root_negated=negated))
     assert build_binomial_tree(TreeSpec(k=1, closure=None)).num_clauses == 3
     assert build_binomial_tree(TreeSpec(k=1, closure=ClosureClause(1))).num_clauses == 4
 
@@ -250,12 +250,22 @@ def test_multi_branching_shape():
         build_multi_branching(2, 0)
 
 
-def test_make_implicit_drops_switching_and_keeps_meaning():
+def implicit_tree(k, node, via):
+    return build_binomial_tree(TreeSpec(k=k, implicit_nodes=((node, via),)))
+
+
+def redundancy_clauses(k, node, count, seed):
+    """The seeded redundancy clauses a depth-k tree gains for one node."""
+    f = build_binomial_tree(TreeSpec(k=k, redundancy=(RedundancySpec(node, count, seed),)))
+    return f.clauses[build_binomial_tree(TreeSpec(k=k)).num_clauses :]
+
+
+def test_implicit_node_drops_switching_and_keeps_meaning():
     base = build_binomial_tree(TreeSpec(k=4))
     entry = base.lit(SlotVar(2, 1))
     left = base.lit(SlotVar(3, 1))
     right = base.lit(SlotVar(3, 2))
-    implicit = make_implicit(base, (2, 1), SlotVar(5, 2))
+    implicit = implicit_tree(4, (2, 1), SlotVar(5, 2))
     assert implicit.num_clauses == base.num_clauses - 2
     assert implicit.metadata["implicit"] == "2.1:s5.2"
     dropped = {Clause(tuple(sorted((-entry, left, -right), key=abs))),
@@ -270,35 +280,37 @@ def test_make_implicit_drops_switching_and_keeps_meaning():
     assert is_dominant(implicit, 1)
 
 
-def test_make_implicit_validation():
-    base = build_binomial_tree(TreeSpec(k=4))
-    with pytest.raises(ValueError, match="pair-sharing tree"):
-        make_implicit(build_unit_chain(3), (2, 1), SlotVar(5, 2))
+def test_implicit_node_validation():
     with pytest.raises(ValueError, match="no node"):
-        make_implicit(base, (5, 1), SlotVar(5, 2))
+        implicit_tree(4, (5, 1), SlotVar(5, 2))
     with pytest.raises(ValueError, match="not a descendant"):
-        make_implicit(base, (2, 2), SlotVar(3, 1))
+        implicit_tree(4, (2, 2), SlotVar(3, 1))
     with pytest.raises(ValueError, match="left slot"):
-        make_implicit(base, (2, 1), SlotVar(3, 1))
+        implicit_tree(4, (2, 1), SlotVar(3, 1))
     with pytest.raises(ValueError, match="aliased away"):
-        make_implicit(base, (2, 1), SlotVar(5, 1))
+        implicit_tree(4, (2, 1), SlotVar(5, 1))
     # In the depth-3 tree the clause of node (3,1) holds both s3.1 and
     # s4.2, so aliasing one to the other is caught as a tautology.
     with pytest.raises(ValueError, match="tautologous"):
-        make_implicit(build_binomial_tree(TreeSpec(k=3)), (2, 1), SlotVar(4, 2))
+        implicit_tree(3, (2, 1), SlotVar(4, 2))
+    # Aliasing node (1,1)'s right slot collapses its switching clauses, so
+    # making the node implicit a second time finds none to drop.
+    spec = TreeSpec(k=2, implicit_nodes=(((1, 1), SlotVar(2, 2)), ((1, 1), SlotVar(3, 3))))
+    with pytest.raises(ValueError, match="not present"):
+        build_binomial_tree(spec)
 
 
 def test_redundancy_clauses_are_entailed_novelties():
     f = build_binomial_tree(TreeSpec(k=3))
-    extra = gen_redundancy_clauses(f, (1, 1), 8, seed=7)
+    extra = redundancy_clauses(3, (1, 1), 8, seed=7)
     assert len(extra) == len(set(extra)) == 8
     existing = set(f.clauses)
     for clause in extra:
         assert clause.width == 3
         assert clause not in existing
         assert entails(f, clause)
-    assert gen_redundancy_clauses(f, (1, 1), 8, seed=7) == extra
-    assert gen_redundancy_clauses(f, (1, 1), 8, seed=8) != extra
+    assert redundancy_clauses(3, (1, 1), 8, seed=7) == extra
+    assert redundancy_clauses(3, (1, 1), 8, seed=8) != extra
 
 
 def test_redundancy_slots_into_the_recipe():
@@ -311,18 +323,24 @@ def test_redundancy_slots_into_the_recipe():
 
 
 def test_redundancy_validation():
-    f = build_binomial_tree(TreeSpec(k=3))
     with pytest.raises(ValueError, match="at least 1"):
-        gen_redundancy_clauses(f, (1, 1), 0, seed=1)
+        redundancy_clauses(3, (1, 1), 0, seed=1)
     with pytest.raises(ValueError, match="leaf level"):
-        gen_redundancy_clauses(f, (3, 1), 2, seed=1)
+        redundancy_clauses(3, (3, 1), 2, seed=1)
     with pytest.raises(ValueError, match="no node"):
-        gen_redundancy_clauses(f, (4, 1), 2, seed=1)
+        redundancy_clauses(3, (4, 1), 2, seed=1)
     with pytest.raises(ValueError, match="only .* distinct"):
-        gen_redundancy_clauses(build_binomial_tree(TreeSpec(k=2)), (1, 1), 100, seed=1)
-    implicit = make_implicit(build_binomial_tree(TreeSpec(k=4)), (2, 1), SlotVar(5, 2))
-    with pytest.raises(ValueError, match="explicit switching"):
-        gen_redundancy_clauses(implicit, (1, 1), 2, seed=1)
+        redundancy_clauses(2, (1, 1), 100, seed=1)
+    # Redundancy is drawn before any node is made implicit, so the two
+    # transforms combine.
+    both = build_binomial_tree(TreeSpec(
+        k=4,
+        implicit_nodes=(((2, 1), SlotVar(5, 2)),),
+        redundancy=(RedundancySpec((1, 1), 2, seed=1),),
+    ))
+    assert both.metadata["redundancy"] == "1.1:2:1"
+    assert both.metadata["implicit"] == "2.1:s5.2"
+    assert is_dominant(both, 1)
 
 
 def test_parse_closure_round_trip():
