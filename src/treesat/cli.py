@@ -241,6 +241,8 @@ def cmd_saturate(args: argparse.Namespace) -> int:
     result = saturate(formula, _budget(args))
     c = result.counters
     print(f"status {result.status}")
+    if result.stopped_by is not None:
+        print(f"stopped-by {result.stopped_by}")
     print(f"original {result.n_original} derived {len(result.derived)} steps {c.steps}")
     print(f"tautologies {c.tautologies} duplicates {c.duplicates} over-width {c.over_width}")
     if args.trace is not None:

@@ -311,8 +311,8 @@ def build_binomial_tree(spec: TreeSpec) -> CnfFormula:
     formula = _finish(em, metadata)
     if not spec.redundancy and not spec.implicit_nodes:
         return formula
-    # Transforms edit the deduplicated tree; the metadata keeps describing
-    # the tree as built (width-two count included) plus one tag per kind.
+    # Transforms edit the deduplicated tree; the metadata gains one tag per
+    # kind, and the width-two count is taken again from the final clauses.
     em.clauses = list(formula.clauses)
     for red in spec.redundancy:
         _add_redundancy(em, spec.k, root_lit, red)
@@ -322,8 +322,7 @@ def build_binomial_tree(spec: TreeSpec) -> CnfFormula:
         "redundancy": [f"{r.node[0]}.{r.node[1]}:{r.count}:{r.seed}" for r in spec.redundancy],
         "implicit": [f"{level}.{row}:{via}" for (level, row), via in spec.implicit_nodes],
     }
-    metadata = formula.metadata | {key: ";".join(items) for key, items in tags.items() if items}
-    return build_formula(em.clauses, formula.num_vars, em.atlas, metadata)
+    return _finish(em, metadata | {key: ";".join(items) for key, items in tags.items() if items})
 
 
 def _apply_substitutions(em: _Emitter, spec: TreeSpec) -> None:

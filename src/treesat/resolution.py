@@ -11,7 +11,9 @@ and runs are deterministic.  Clause ids are assigned in discovery order
 `left`.  Resolvents that are tautologies, too wide, or already present
 are counted and dropped; novel ones join the store, the trace and the
 unprocessed set.  The first recorded derivation of a clause is the one
-its decision chain reports.
+its decision chain reports.  A budget's goal clause stops the run the
+moment it is stored; nothing else about the run changes, so a goal run
+is a prefix of the same run without a goal.
 
 The loop runs on plain int tuples; `Clause` objects are built only when
 a result is returned.  Each pair's clash (the partner's literals whose
@@ -24,7 +26,7 @@ resolvent is the union of the parents less the clashing pair.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 from .formula import TAUTOLOGY, Clause, CnfFormula, Tautology
@@ -36,15 +38,18 @@ DEFAULT_MAX_STEPS = 10_000_000
 @dataclass(frozen=True)
 class Budget:
     """Work limits for saturation; max_width defaults to the formula's
-    variable count (no resolvent can be wider anyway)."""
+    variable count (no resolvent can be wider anyway).  A goal clause, if
+    given, ends the run as soon as it is in the store."""
 
     max_clauses: int = DEFAULT_MAX_CLAUSES
     max_steps: int = DEFAULT_MAX_STEPS
     max_width: int | None = None
+    goal: Clause | None = None
 
 
 class SaturationStatus(Enum):
     EMPTY_DERIVED = "empty-derived"
+    GOAL_DERIVED = "goal-derived"
     SATURATED = "saturated"
     BUDGET_EXHAUSTED = "budget-exhausted"
 
@@ -83,11 +88,15 @@ class SaturationCounters:
 
 @dataclass(frozen=True)
 class SaturationResult:
+    """`stopped_by` names the budget that tripped ("max_clauses" or
+    "max_steps") when the status is BUDGET_EXHAUSTED, else None."""
+
     status: SaturationStatus
     store: tuple[Clause, ...]
     n_original: int
     trace: tuple[ResolutionStep, ...]
     counters: SaturationCounters
+    stopped_by: str | None
 
     def clause_id(self, clause: Clause) -> int | None:
         for i, c in enumerate(self.store):
@@ -151,14 +160,16 @@ def resolve(c1: Clause, c2: Clause, var: int) -> Clause | Tautology:
 
 
 def saturate(formula: CnfFormula, budget: Budget | None = None) -> SaturationResult:
-    """Resolve to fixpoint, empty clause, or budget exhaustion, taking the
-    narrowest unprocessed clause (lowest id on ties) as the next given
-    clause and resolving it against every processed clause."""
+    """Resolve to fixpoint, empty clause, goal clause or budget exhaustion,
+    taking the narrowest unprocessed clause (lowest id on ties) as the
+    next given clause and resolving it against every processed clause."""
     budget = budget or Budget()
     max_width = budget.max_width if budget.max_width is not None else formula.num_vars
     max_steps = budget.max_steps
     max_clauses = budget.max_clauses
+    goal = budget.goal.lits if budget.goal is not None else None
     steps = tautologies = duplicates = over_width = 0
+    stopped_by = None
 
     store: list[tuple[int, ...]] = [c.lits for c in formula.clauses]
     ids: dict[tuple[int, ...], int] = {lits: i for i, lits in enumerate(store)}
@@ -171,12 +182,14 @@ def saturate(formula: CnfFormula, budget: Budget | None = None) -> SaturationRes
     n_original = len(store)
 
     status = SaturationStatus.SATURATED
-    if any(not lits for lits in store):
+    if goal in ids:
+        status = SaturationStatus.GOAL_DERIVED
+    elif any(not lits for lits in store):
         status = SaturationStatus.EMPTY_DERIVED
 
     while status is SaturationStatus.SATURATED and unprocessed:
         if len(store) >= max_clauses:
-            status = SaturationStatus.BUDGET_EXHAUSTED
+            status, stopped_by = SaturationStatus.BUDGET_EXHAUSTED, "max_clauses"
             break
         _, given = heapq.heappop(unprocessed)
         lits_g = store[given]
@@ -184,7 +197,7 @@ def saturate(formula: CnfFormula, budget: Budget | None = None) -> SaturationRes
         partners = sorted({j for lit in lits_g for j in occ.get(-lit, ())})
         for j in partners:
             if steps >= max_steps:
-                status = SaturationStatus.BUDGET_EXHAUSTED
+                status, stopped_by = SaturationStatus.BUDGET_EXHAUSTED, "max_steps"
                 break
             lits_j = store[j]
             clash = _clash(set_g, lits_j)
@@ -195,7 +208,7 @@ def saturate(formula: CnfFormula, budget: Budget | None = None) -> SaturationRes
                 steps += taken
                 tautologies += taken
                 if taken < len(clash):
-                    status = SaturationStatus.BUDGET_EXHAUSTED
+                    status, stopped_by = SaturationStatus.BUDGET_EXHAUSTED, "max_steps"
                     break
                 continue
             steps += 1
@@ -213,18 +226,21 @@ def saturate(formula: CnfFormula, budget: Budget | None = None) -> SaturationRes
             store.append(resolvent)
             heapq.heappush(unprocessed, (len(resolvent), new_id))
             trace.append(ResolutionStep(min(j, given), max(j, given), abs(lit), new_id))
+            if resolvent == goal:
+                status = SaturationStatus.GOAL_DERIVED
+                break
             if not resolvent:
                 status = SaturationStatus.EMPTY_DERIVED
                 break
             if len(store) >= max_clauses:
-                status = SaturationStatus.BUDGET_EXHAUSTED
+                status, stopped_by = SaturationStatus.BUDGET_EXHAUSTED, "max_clauses"
                 break
         for lit in lits_g:
             occ.setdefault(lit, []).append(given)
 
     counters = SaturationCounters(steps, len(trace), tautologies, duplicates, over_width)
     clauses = formula.clauses + tuple(Clause(lits) for lits in store[n_original:])
-    return SaturationResult(status, clauses, n_original, tuple(trace), counters)
+    return SaturationResult(status, clauses, n_original, tuple(trace), counters, stopped_by)
 
 
 def _ancestry(
@@ -262,11 +278,12 @@ def decision_chain_of(result: SaturationResult, clause_id: int) -> DecisionChain
 def is_dominant_by_resolution(
     formula: CnfFormula, lit: int, budget: Budget | None = None
 ) -> ResolutionDominance:
-    """DOMINANT iff saturation derives the unit clause {lit} in budget."""
+    """DOMINANT iff saturation derives the unit clause {lit} in budget;
+    the run stops as soon as it does."""
     if not 1 <= abs(lit) <= formula.num_vars:
         raise ValueError(f"variable {abs(lit)} not in formula")
-    result = saturate(formula, budget)
-    if Clause((lit,)) in result.store:
+    result = saturate(formula, replace(budget or Budget(), goal=Clause((lit,))))
+    if result.status is SaturationStatus.GOAL_DERIVED:
         return ResolutionDominance.DOMINANT
     if result.status is SaturationStatus.BUDGET_EXHAUSTED:
         return ResolutionDominance.BUDGET_EXHAUSTED

@@ -143,9 +143,10 @@ def _check_pair_chain() -> tuple[bool, str]:
         if not is_dominant(formula, root):
             return False, f"k={k}: root not dominant"
         if k >= 3:
-            result = saturate(formula, Budget(max_clauses=20_000, max_steps=200_000))
             hop = formula.atlas.id_of(ChainVar(3, 1))
-            cid = result.clause_id(Clause((root, hop)))
+            link = Clause((root, hop))
+            result = saturate(formula, Budget(max_clauses=20_000, max_steps=200_000, goal=link))
+            cid = result.clause_id(link)
             if cid is None:
                 return False, f"k={k}: two-hop link clause never derived"
             chain = decision_chain_of(result, cid)
@@ -260,7 +261,7 @@ def _check_implicit() -> tuple[bool, str]:
     entry = closed.atlas.id_of(SlotVar(2, 1))
     left = closed.atlas.id_of(SlotVar(3, 1))
     target = Clause(tuple(sorted((-entry, left), key=abs)))
-    result = saturate(closed, Budget(max_clauses=50_000, max_steps=500_000))
+    result = saturate(closed, Budget(max_clauses=50_000, max_steps=500_000, goal=target))
     cid = result.clause_id(target)
     if cid is None:
         return False, f"switching resolvent {target} not derived within 50k clauses"

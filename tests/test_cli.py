@@ -215,10 +215,16 @@ def test_saturate_trace_export(capsys, tmp_path):
 def test_max_steps_flag_caps_saturation(capsys):
     _, out, _ = run_cli(capsys, "saturate", "--family", "unit-chain", "--k", "4", "--max-steps", "2")
     assert "status budget-exhausted" in out
+    assert out.splitlines()[1] == "stopped-by max_steps"
     _, out, _ = run_cli(
         capsys, "saturate", "--family", "unit-chain", "--k", "4", "--max-steps", "1000"
     )
     assert "status saturated" in out
+    assert "stopped-by" not in out
+    _, out, _ = run_cli(
+        capsys, "saturate", "--family", "unit-chain", "--k", "4", "--max-clauses", "5"
+    )
+    assert out.splitlines()[:2] == ["status budget-exhausted", "stopped-by max_clauses"]
 
 
 def test_max_width_flag_limits_resolvents(capsys):

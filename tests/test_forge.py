@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from treesat.forge import (
@@ -278,6 +280,14 @@ def test_implicit_node_drops_switching_and_keeps_meaning():
     via_id = implicit.atlas.id_of(SlotVar(5, 2))
     assert all(via_id not in c.variables() for c in implicit.clauses)
     assert is_dominant(implicit, 1)
+
+
+def test_implicit_node_recounts_width_two_clauses():
+    # Node (1, 1) keeps only (1 2 3); aliasing s2.2 to s2.1 narrows it to (1 2).
+    spec = TreeSpec(k=3, implicit_nodes=(((1, 1), SlotVar(2, 2)),))
+    assert build_binomial_tree(spec).metadata["width_two_clauses"] == "1"
+    closed = dataclasses.replace(spec, closure=ClosureClause(1))
+    assert build_binomial_tree(closed).metadata["width_two_clauses"] == "2"
 
 
 def test_implicit_node_validation():

@@ -1,16 +1,22 @@
+import dataclasses
 import hashlib
 import random
 
 import pytest
 
+from treesat.bench import default_sweep_budget
 from treesat.forge import (
+    FAMILIES,
     Closing,
     TreeSpec,
     build_binomial_tree,
     build_unit_chain,
     compose_two_trees,
 )
-from treesat.formula import Clause, EMPTY_CLAUSE, TAUTOLOGY, build_formula, make_clause
+from treesat.formula import (
+    Clause, EMPTY_CLAUSE, TAUTOLOGY, RootVar, build_formula, make_clause,
+)
+from treesat.oracle import dpll_sat, is_dominant
 from treesat.resolution import (
     Budget,
     ResolutionDominance,
@@ -154,18 +160,21 @@ def test_step_budget_trips_inside_a_multi_clash_pair():
     formula = build_formula([Clause((1, 2, 3)), Clause((-1, -2, -3))])
     capped = saturate(formula, Budget(max_steps=2))
     assert capped.status is SaturationStatus.BUDGET_EXHAUSTED
+    assert capped.stopped_by == "max_steps"
     assert (capped.counters.steps, capped.counters.tautologies) == (2, 2)
     none = saturate(formula, Budget(max_steps=0))
     assert none.status is SaturationStatus.BUDGET_EXHAUSTED
     assert none.counters.steps == 0
     full = saturate(formula)
     assert full.status is SaturationStatus.SATURATED
+    assert full.stopped_by is None
     assert (full.counters.steps, full.counters.tautologies) == (3, 3)
 
 
 def test_empty_clause_among_originals_short_circuits():
     result = saturate(build_formula([EMPTY_CLAUSE, Clause((1,))]))
     assert result.status is SaturationStatus.EMPTY_DERIVED
+    assert result.stopped_by is None
     assert result.counters.steps == 0
 
 
@@ -178,12 +187,14 @@ def test_clause_budget_stops_growth():
 
     capped = saturate(formula, Budget(max_clauses=formula.num_clauses + 5))
     assert capped.status is SaturationStatus.BUDGET_EXHAUSTED
+    assert capped.stopped_by == "max_clauses"
     assert len(capped.derived) == 5
 
 
 def test_step_budget_stops_work():
     result = saturate(compose_two_trees(3, Closing.MATCHED), Budget(max_steps=7))
     assert result.status is SaturationStatus.BUDGET_EXHAUSTED
+    assert result.stopped_by == "max_steps"
     assert result.counters.steps == 7
 
 
@@ -267,3 +278,53 @@ def test_export_chain_dot_shape():
     assert '[label="2"]' in dot and '[label="3"]' in dot
     with pytest.raises(ValueError):
         export_chain_dot(result, 99)
+
+
+def test_goal_run_is_a_prefix_of_the_run_without_goal():
+    budget = default_sweep_budget()
+    for k in range(3, 9):
+        formula = build_binomial_tree(TreeSpec(k=k))
+        unit = Clause((formula.atlas.id_of(RootVar()),))
+        full = saturate(formula, budget)
+        run = saturate(formula, dataclasses.replace(budget, goal=unit))
+        assert run.status is SaturationStatus.GOAL_DERIVED, k
+        assert run.stopped_by is None
+        assert run.store[-1] == unit
+        assert run.store == full.store[: len(run.store)]
+        assert run.trace == full.trace[: len(run.trace)]
+        assert run.counters.steps < full.counters.steps
+
+
+def test_goal_stops_at_an_original_clause_and_at_the_empty_clause():
+    formula = build_unit_chain(4)
+    result = saturate(formula, Budget(goal=formula.clauses[2]))
+    assert result.status is SaturationStatus.GOAL_DERIVED
+    assert result.counters.steps == 0
+    assert not result.derived
+    refuted = saturate(build_formula([Clause((1,)), Clause((-1,))]), Budget(goal=EMPTY_CLAUSE))
+    assert refuted.status is SaturationStatus.GOAL_DERIVED
+    assert refuted.derived == (EMPTY_CLAUSE,)
+
+
+def test_goal_never_derived_leaves_the_run_unchanged():
+    budget = default_sweep_budget()
+    formula = build_binomial_tree(TreeSpec(k=3, closure=None))
+    unit = Clause((formula.atlas.id_of(RootVar()),))
+    full = saturate(formula, budget)
+    assert full.status is SaturationStatus.BUDGET_EXHAUSTED
+    assert saturate(formula, dataclasses.replace(budget, goal=unit)) == full
+
+
+def test_dominance_by_resolution_agrees_with_the_oracle():
+    budget = Budget(max_clauses=5_000, max_steps=50_000)
+    for name, build in FAMILIES.items():
+        for k in range(2, 7):
+            formula = build(k)
+            root = formula.atlas.id_of(RootVar())
+            verdict = is_dominant_by_resolution(formula, root, budget)
+            if verdict is ResolutionDominance.BUDGET_EXHAUSTED:
+                continue
+            # Deriving the unit shows it is entailed; is_dominant also asks
+            # for a model, which an unsatisfiable formula lacks.
+            entailed = is_dominant(formula, root) or not dpll_sat(formula).is_sat
+            assert (verdict is ResolutionDominance.DOMINANT) == entailed, (name, k)
