@@ -6,12 +6,25 @@ before True) and returns the first model; DPLL uses unit propagation and
 pure-literal elimination with a fixed branching rule (lowest variable id,
 True branch first).  Sat verdicts are re-verified against every clause
 before they are returned.
+
+DPLL builds its state once per call: an occurrence list per literal,
+per-clause counts of true literals and of literals not yet false, a count
+per literal of the open clauses that hold it, and a heap of the open
+clauses with at most one literal left.  An assignment updates them through
+the literal's occurrences and goes on a trail; a backtrack pops the trail
+back to the branch's mark and undoes each update (Eén & Sörensson, "An
+Extensible SAT-solver", SAT 2003).  Pure literals are looked for only among
+variables whose count just fell to zero, and the branch variable only above
+the branch that led to the node, so no step scans every variable.  Units
+are taken by original clause order, so watched literals, which find them in
+another order, are not used.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from heapq import heappop, heappush
 
 from .formula import Clause, CnfFormula, make_clause
 
@@ -106,73 +119,123 @@ def brute_force_sat(formula: CnfFormula, max_vars: int = BRUTE_FORCE_VAR_CAP) ->
     return OracleVerdict(Verdict.UNSAT, None, 1 << n, 0)
 
 
-def _simplify(clauses: list[tuple[int, ...]], lit: int) -> list[tuple[int, ...]] | None:
-    """Assign `lit` true: drop satisfied clauses, strip the complement.
-    Returns None on an emptied clause (conflict)."""
-    out: list[tuple[int, ...]] = []
-    for c in clauses:
-        if lit in c:
-            continue
-        if -lit in c:
-            reduced = tuple(l for l in c if l != -lit)
-            if not reduced:
-                return None
-            out.append(reduced)
-        else:
-            out.append(c)
-    return out
-
-
 def dpll_sat(formula: CnfFormula) -> OracleVerdict:
-    """Unit propagation + pure literals + deterministic branching, run as
-    one loop over a stack of untried branches and a trail of the literals
-    set true, so search depth is not bounded by the recursion limit."""
-    nodes = propagations = 0
+    """Unit propagation + pure literals + deterministic branching over
+    occurrence lists and per-clause counters.  The first short clause in
+    original order is taken next (an empty one is a conflict); with none,
+    every pure literal is set at once in ascending variable order; with
+    neither, the lowest variable still in an open clause is branched on,
+    True first.  Unset variables are False in a model.  One loop runs over
+    a stack of untried branches; a backtrack undoes the trail back to the
+    branch's mark, so search depth is not bounded by the recursion limit."""
+    n = formula.num_vars
+    clauses = [c.lits for c in formula.clauses]
+    # Tables indexed by a literal have 2n + 1 slots: literal v sits at
+    # index v and literal -v at index -v, which Python counts from the end.
+    occurs: list[list[int]] = [[] for _ in range(2 * n + 1)]
+    for i, lits in enumerate(clauses):
+        for lit in lits:
+            occurs[lit].append(i)
+    in_open = [len(ids) for ids in occurs]  # open clauses holding the literal
+    true_count = [0] * len(clauses)  # a clause is open while this is 0
+    live = [len(lits) for lits in clauses]  # literals not yet false
+    value = [0] * (n + 1)  # per variable: 1 true, -1 false, 0 unset
+    # Open clauses with at most one live literal, by original index; an
+    # entry whose clause has since been satisfied is dropped when seen.
+    short = [i for i, width in enumerate(live) if width < 2]
+    # Variables that may have become pure: one of their literals has left
+    # its last open clause.  At the root every variable is a candidate.
+    pure = list(range(1, n + 1))
     trail: list[int] = []
-    # Untried branches as (clauses before the branch, trail length to
-    # restore, branch literal); literal 0 is the root, which sets nothing.
-    stack = [([c.lits for c in formula.clauses], 0, 0)]
+
+    def assign(lit: int) -> bool:
+        """Set `lit` true; False if that leaves an open clause empty."""
+        value[abs(lit)] = 1 if lit > 0 else -1
+        trail.append(lit)
+        for i in occurs[lit]:
+            if not true_count[i]:
+                for l in clauses[i]:
+                    in_open[l] -= 1
+                    if not in_open[l]:
+                        pure.append(abs(l))
+            true_count[i] += 1
+        ok = True
+        for i in occurs[-lit]:
+            live[i] -= 1
+            if not true_count[i] and live[i] < 2:
+                if live[i]:
+                    heappush(short, i)
+                else:
+                    ok = False
+        return ok
+
+    def undo(mark: int) -> None:
+        while len(trail) > mark:
+            lit = trail.pop()
+            value[abs(lit)] = 0
+            for i in occurs[lit]:
+                true_count[i] -= 1
+                if not true_count[i]:
+                    for l in clauses[i]:
+                        in_open[l] += 1
+            for i in occurs[-lit]:
+                live[i] += 1
+
+    nodes = propagations = 0
+    # Untried branches as (trail length to restore, branch literal);
+    # literal 0 is the root, which sets nothing.
+    stack = [(0, 0)]
     while stack:
-        clauses, mark, lit = stack.pop()
+        mark, lit = stack.pop()
         if lit:
-            clauses = _simplify(clauses, lit)
-            if clauses is None:
-                continue
-        del trail[mark:]
-        if lit:
-            trail.append(lit)
+            undo(mark)
+            # A mark is only taken where no open clause is short and no
+            # variable is pure, so nothing left in either list is live; and
+            # every open clause has two unset literals, so `lit` empties none.
+            short.clear()
+            pure.clear()
+            assign(lit)
         nodes += 1
         # Units first (the first in clause order), then every pure literal,
         # until neither applies.  An empty clause is a conflict.
-        while clauses is not None:
-            short = next((c for c in clauses if len(c) < 2), None)
-            if short is not None:
-                if not short:
-                    clauses = None
+        while True:
+            while short and true_count[short[0]]:
+                heappop(short)
+            if short:
+                i = short[0]
+                if not live[i]:
                     break
-                forced = [short[0]]
-            else:
-                polarity: dict[int, int] = {}
-                for c in clauses:
-                    for l in c:
-                        polarity[abs(l)] = polarity.get(abs(l), 0) | (1 if l > 0 else 2)
-                forced = [v if p == 1 else -v for v, p in sorted(polarity.items()) if p != 3]
-                if not forced:
-                    break
-            for l in forced:
-                trail.append(l)
                 propagations += 1
-                clauses = _simplify(clauses, l)
-        if clauses is None:
-            continue
-        if not clauses:
-            model = dict.fromkeys(range(1, formula.num_vars + 1), False)
-            model.update((abs(l), l > 0) for l in trail)
-            _check_model(formula, model)
-            return OracleVerdict(Verdict.SAT, model, nodes, propagations)
-        var = min(abs(l) for c in clauses for l in c)
-        stack.append((clauses, len(trail), -var))
-        stack.append((clauses, len(trail), var))
+                if not assign(next(l for l in clauses[i] if not value[abs(l)])):
+                    break
+                continue
+            if pure:
+                # Signs are read before any is set: setting one pure literal
+                # can take another variable out of every open clause.
+                forced = [
+                    v if in_open[v] else -v
+                    for v in sorted(set(pure))
+                    if not value[v] and (not in_open[v]) != (not in_open[-v])
+                ]
+                pure.clear()
+                if forced:
+                    for l in forced:
+                        propagations += 1
+                        assign(l)
+                    continue
+            # Every variable below the branch that led here is set or in no
+            # open clause, so the lowest one still open is found from there.
+            # With none, no clause is open: an open one would be short.
+            var = abs(lit) or 1
+            while var <= n and (value[var] or not (in_open[var] or in_open[-var])):
+                var += 1
+            if var > n:
+                model = {v: value[v] > 0 for v in range(1, n + 1)}
+                _check_model(formula, model)
+                return OracleVerdict(Verdict.SAT, model, nodes, propagations)
+            stack.append((len(trail), -var))
+            stack.append((len(trail), var))
+            break
     return OracleVerdict(Verdict.UNSAT, None, nodes, propagations)
 
 

@@ -279,7 +279,10 @@ def is_dominant_by_resolution(
     formula: CnfFormula, lit: int, budget: Budget | None = None
 ) -> ResolutionDominance:
     """DOMINANT iff saturation derives the unit clause {lit} in budget;
-    the run stops as soon as it does."""
+    the run stops as soon as it does.  DOMINANT means the formula entails
+    {lit}.  That holds vacuously on an unsatisfiable formula, such as the
+    matched composition, where `oracle.is_dominant` says False because it
+    also needs a model."""
     if not 1 <= abs(lit) <= formula.num_vars:
         raise ValueError(f"variable {abs(lit)} not in formula")
     result = saturate(formula, replace(budget or Budget(), goal=Clause((lit,))))

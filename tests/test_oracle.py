@@ -6,7 +6,9 @@ from treesat.forge import FAMILIES, build_unit_chain, compose_two_trees, Closing
 from treesat.formula import EMPTY_CLAUSE, Clause, build_formula, make_clause
 from treesat.oracle import (
     BRUTE_FORCE_VAR_CAP,
+    OracleVerdict,
     Verdict,
+    _check_model,
     brute_force_sat,
     dpll_sat,
     entails,
@@ -28,6 +30,76 @@ def all_models(formula, max_vars=20):
         model = {i: bool(m >> (n - i) & 1) for i in range(1, n + 1)}
         if all(any(model[abs(l)] == (l > 0) for l in c) for c in lit_rows):
             yield model
+
+
+def _simplify(clauses, lit):
+    """Assign `lit` true: drop satisfied clauses, strip the complement.
+    Returns None on an emptied clause (conflict)."""
+    out = []
+    for c in clauses:
+        if lit in c:
+            continue
+        if -lit in c:
+            reduced = tuple(l for l in c if l != -lit)
+            if not reduced:
+                return None
+            out.append(reduced)
+        else:
+            out.append(c)
+    return out
+
+
+def reference_dpll(formula):
+    """The earlier `dpll_sat`, which copies the clause list at every
+    assignment; kept as the referee for the counts and models of the
+    occurrence-list version."""
+    nodes = propagations = 0
+    trail = []
+    # Untried branches as (clauses before the branch, trail length to
+    # restore, branch literal); literal 0 is the root, which sets nothing.
+    stack = [([c.lits for c in formula.clauses], 0, 0)]
+    while stack:
+        clauses, mark, lit = stack.pop()
+        if lit:
+            clauses = _simplify(clauses, lit)
+            if clauses is None:
+                continue
+        del trail[mark:]
+        if lit:
+            trail.append(lit)
+        nodes += 1
+        # Units first (the first in clause order), then every pure literal,
+        # until neither applies.  An empty clause is a conflict.
+        while clauses is not None:
+            short = next((c for c in clauses if len(c) < 2), None)
+            if short is not None:
+                if not short:
+                    clauses = None
+                    break
+                forced = [short[0]]
+            else:
+                polarity = {}
+                for c in clauses:
+                    for l in c:
+                        polarity[abs(l)] = polarity.get(abs(l), 0) | (1 if l > 0 else 2)
+                forced = [v if p == 1 else -v for v, p in sorted(polarity.items()) if p != 3]
+                if not forced:
+                    break
+            for l in forced:
+                trail.append(l)
+                propagations += 1
+                clauses = _simplify(clauses, l)
+        if clauses is None:
+            continue
+        if not clauses:
+            model = dict.fromkeys(range(1, formula.num_vars + 1), False)
+            model.update((abs(l), l > 0) for l in trail)
+            _check_model(formula, model)
+            return OracleVerdict(Verdict.SAT, model, nodes, propagations)
+        var = min(abs(l) for c in clauses for l in c)
+        stack.append((clauses, len(trail), -var))
+        stack.append((clauses, len(trail), var))
+    return OracleVerdict(Verdict.UNSAT, None, nodes, propagations)
 
 
 def random_formula(rng, max_vars=10, max_clauses=25):
@@ -90,6 +162,9 @@ DPLL_COUNTS = {
     ("compose-matched", 8): (Verdict.UNSAT, 31, 142),
     ("compose-crossed", 8): (Verdict.SAT, 9, 71),
     ("multi-branching", 3): (Verdict.SAT, 1, 12),
+    ("compose-matched", 40): (Verdict.UNSAT, 159, 3278),
+    ("compose-crossed", 40): (Verdict.SAT, 41, 1639),
+    ("compose-matched", 80): (Verdict.UNSAT, 319, 12958),
 }
 
 
@@ -97,6 +172,35 @@ def test_dpll_counts_nodes_and_propagations():
     for (family, k), expected in DPLL_COUNTS.items():
         verdict = dpll_sat(FAMILIES[family](k))
         assert (verdict.status, verdict.nodes, verdict.propagations) == expected, (family, k)
+
+
+def _outcome(verdict):
+    return (verdict.status, verdict.model, verdict.nodes, verdict.propagations)
+
+
+def test_dpll_matches_the_reference_on_random_formulas():
+    # Widths 2..4 with a few original units and empty clauses, so the
+    # first-short-clause rule meets both before any branch.
+    rng = random.Random(14)
+    for case in range(600):
+        n = rng.randint(1, 14)
+        clauses = []
+        for _ in range(rng.randint(0, 4 * n)):
+            roll = rng.random()
+            width = 0 if roll < 0.005 else 1 if roll < 0.03 else min(n, rng.randint(2, 4))
+            chosen = rng.sample(range(1, n + 1), width)
+            clause = make_clause([v if rng.random() < 0.5 else -v for v in chosen])
+            if isinstance(clause, Clause):
+                clauses.append(clause)
+        f = build_formula(clauses, n)
+        assert _outcome(dpll_sat(f)) == _outcome(reference_dpll(f)), case
+
+
+def test_dpll_matches_the_reference_on_every_family():
+    for family, build in FAMILIES.items():
+        for k in range(2, 9):
+            f = build(k)
+            assert _outcome(dpll_sat(f)) == _outcome(reference_dpll(f)), (family, k)
 
 
 def test_dpll_searches_deeper_than_the_recursion_limit():
