@@ -15,12 +15,17 @@ its decision chain reports.  A budget's goal clause stops the run the
 moment it is stored; nothing else about the run changes, so a goal run
 is a prefix of the same run without a goal.
 
-The loop runs on plain int tuples; `Clause` objects are built only when
-a result is returned.  Each pair's clash (the partner's literals whose
-complement is in the given clause) is computed once: with two or more
-clashing variables every resolvent is a tautology (Robinson, JACM 1965),
-so those steps are counted without being built, and with exactly one the
-resolvent is the union of the parents less the clashing pair.
+The loop encodes each stored clause once as one int mask: with
+n = num_vars + 1, bit v stands for +v and bit n+v for -v.  A pair's clash
+(the partner's literals whose complement is in the given clause) is the
+partner's mask ANDed with the given mask's halves swapped.  With two or
+more clashing variables every resolvent is a tautology (Robinson, JACM
+1965), so those steps are counted without being built; with exactly one
+the resolvent is the union of the two masks less the clashing pair.  The
+store's dict is keyed by mask, and the canonical literal tuple is built
+only for resolvents that are stored; `Clause` objects only when a result
+is returned.  `resolve` and `replay_trace` work on literal tuples, so a
+replay checks a trace through a second, independent kernel.
 """
 
 from __future__ import annotations
@@ -159,6 +164,27 @@ def resolve(c1: Clause, c2: Clause, var: int) -> Clause | Tautology:
     return Clause(_canonical(_resolvent(set1, c2.lits, clash[0])))
 
 
+def _mask_of(lits: tuple[int, ...], n: int) -> int:
+    """A clause as one int: bit v for the literal +v, bit n+v for -v."""
+    mask = 0
+    for lit in lits:
+        mask |= 1 << (lit if lit > 0 else n - lit)
+    return mask
+
+
+def _lits_of(mask: int, n: int) -> tuple[int, ...]:
+    """The canonical literal tuple of a clause mask (no tautologies)."""
+    pos = mask & ((1 << n) - 1)
+    rest = pos | mask >> n
+    lits = []
+    while rest:
+        low = rest & -rest
+        var = low.bit_length() - 1
+        lits.append(var if pos & low else -var)
+        rest ^= low
+    return tuple(lits)
+
+
 def saturate(formula: CnfFormula, budget: Budget | None = None) -> SaturationResult:
     """Resolve to fixpoint, empty clause, goal clause or budget exhaustion,
     taking the narrowest unprocessed clause (lowest id on ties) as the
@@ -167,12 +193,20 @@ def saturate(formula: CnfFormula, budget: Budget | None = None) -> SaturationRes
     max_width = budget.max_width if budget.max_width is not None else formula.num_vars
     max_steps = budget.max_steps
     max_clauses = budget.max_clauses
-    goal = budget.goal.lits if budget.goal is not None else None
+    n = formula.num_vars + 1
+    low_half = (1 << n) - 1
+    goal = budget.goal
+    # A goal on a variable the formula lacks can never be stored; -1 is no
+    # clause's mask.
+    goal_mask = -1
+    if goal is not None and all(abs(lit) < n for lit in goal.lits):
+        goal_mask = _mask_of(goal.lits, n)
     steps = tautologies = duplicates = over_width = 0
     stopped_by = None
 
     store: list[tuple[int, ...]] = [c.lits for c in formula.clauses]
-    ids: dict[tuple[int, ...], int] = {lits: i for i, lits in enumerate(store)}
+    masks = [_mask_of(lits, n) for lits in store]
+    ids: dict[int, int] = {mask: i for i, mask in enumerate(masks)}
     unprocessed = [(len(lits), i) for i, lits in enumerate(store)]
     heapq.heapify(unprocessed)
     # Occurrences of processed clauses only: a given clause meets each
@@ -182,9 +216,9 @@ def saturate(formula: CnfFormula, budget: Budget | None = None) -> SaturationRes
     n_original = len(store)
 
     status = SaturationStatus.SATURATED
-    if goal in ids:
+    if goal_mask in ids:
         status = SaturationStatus.GOAL_DERIVED
-    elif any(not lits for lits in store):
+    elif 0 in ids:
         status = SaturationStatus.EMPTY_DERIVED
 
     while status is SaturationStatus.SATURATED and unprocessed:
@@ -193,40 +227,46 @@ def saturate(formula: CnfFormula, budget: Budget | None = None) -> SaturationRes
             break
         _, given = heapq.heappop(unprocessed)
         lits_g = store[given]
-        set_g = set(lits_g)
+        mask_g = masks[given]
+        # The given clause with every literal negated: its overlap with a
+        # partner is the partner's clashing literals.
+        swapped = mask_g >> n | (mask_g & low_half) << n
         partners = sorted({j for lit in lits_g for j in occ.get(-lit, ())})
         for j in partners:
             if steps >= max_steps:
                 status, stopped_by = SaturationStatus.BUDGET_EXHAUSTED, "max_steps"
                 break
-            lits_j = store[j]
-            clash = _clash(set_g, lits_j)
-            if len(clash) > 1:
+            mask_j = masks[j]
+            clash = swapped & mask_j
+            if clash & (clash - 1):
                 # One step per clashing variable, each a tautology; the
                 # step budget may trip part way through them.
-                taken = min(len(clash), max_steps - steps)
+                clashing = clash.bit_count()
+                taken = min(clashing, max_steps - steps)
                 steps += taken
                 tautologies += taken
-                if taken < len(clash):
+                if taken < clashing:
                     status, stopped_by = SaturationStatus.BUDGET_EXHAUSTED, "max_steps"
                     break
                 continue
             steps += 1
-            lit = clash[0]
-            merged = _resolvent(set_g, lits_j, lit)
-            if len(merged) > max_width:
+            bit = clash.bit_length() - 1
+            var = bit if bit < n else bit - n
+            resolvent = (mask_g | mask_j) ^ (1 << var | 1 << (var + n))
+            if resolvent.bit_count() > max_width:
                 over_width += 1
                 continue
-            resolvent = _canonical(merged)
             if resolvent in ids:
                 duplicates += 1
                 continue
             new_id = len(store)
             ids[resolvent] = new_id
-            store.append(resolvent)
-            heapq.heappush(unprocessed, (len(resolvent), new_id))
-            trace.append(ResolutionStep(min(j, given), max(j, given), abs(lit), new_id))
-            if resolvent == goal:
+            masks.append(resolvent)
+            lits = _lits_of(resolvent, n)
+            store.append(lits)
+            heapq.heappush(unprocessed, (len(lits), new_id))
+            trace.append(ResolutionStep(min(j, given), max(j, given), var, new_id))
+            if resolvent == goal_mask:
                 status = SaturationStatus.GOAL_DERIVED
                 break
             if not resolvent:
