@@ -193,11 +193,19 @@ def _fit_line(label: str, fit: PowerLawFit | None) -> str:
     )
 
 
+def uncensored(records: Sequence[BenchRecord]) -> list[BenchRecord]:
+    """The rows whose saturation did not stop at the budget.  A capped
+    row's derived clauses measure the budget, not the work saturation
+    needs, so growth fits leave it out."""
+    capped = str(SaturationStatus.BUDGET_EXHAUSTED)
+    return [r for r in records if r.saturation_status != capped]
+
+
 def summarize(records: Sequence[BenchRecord]) -> str:
     """Plain-text report: one block per family with verdicts and the two
     scaling fits (derived clauses and DPLL nodes, both against variable
-    count).  Runs stopped at the budget are counted: their derived clauses
-    measure the budget, not the work saturation needs."""
+    count).  The derived-clauses fit leaves out the runs stopped at the
+    budget and says how many it left out."""
     if not records:
         raise ValueError("no records to summarize")
     lines = []
@@ -211,13 +219,17 @@ def summarize(records: Sequence[BenchRecord]) -> str:
             f"dpll verdicts [{', '.join(verdicts)}], "
             f"saturation statuses [{', '.join(statuses)}]"
         )
+        kept = uncensored(rows)
         lines.append(_fit_line(
             "derived clauses",
-            fit_power_law([(r.variables, r.derived_clauses) for r in rows]),
+            fit_power_law([(r.variables, r.derived_clauses) for r in kept]),
         ))
-        capped = sum(r.saturation_status == str(SaturationStatus.BUDGET_EXHAUSTED) for r in rows)
+        capped = len(rows) - len(kept)
         if capped:
-            lines.append(f"    {capped} of {len(rows)} runs stopped at the saturation budget")
+            lines.append(
+                f"    {capped} of {len(rows)} runs stopped at the saturation budget "
+                "and are left out of the fit"
+            )
         lines.append(_fit_line(
             "dpll nodes    ",
             fit_power_law([(r.variables, r.dpll_nodes) for r in rows]),

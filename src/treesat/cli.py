@@ -244,7 +244,10 @@ def cmd_saturate(args: argparse.Namespace) -> int:
     if result.stopped_by is not None:
         print(f"stopped-by {result.stopped_by}")
     print(f"original {result.n_original} derived {len(result.derived)} steps {c.steps}")
-    print(f"tautologies {c.tautologies} duplicates {c.duplicates} over-width {c.over_width}")
+    print(
+        f"tautologies {c.tautologies} duplicates {c.duplicates} over-width {c.over_width} "
+        f"subsumed {c.subsumed}"
+    )
     if args.trace is not None:
         _write_output(args.trace, export_trace(result))
     if args.chain is not None:

@@ -92,7 +92,11 @@ def make_clause(lits) -> Clause | Tautology:
         if -lit in out:
             return TAUTOLOGY
         out.add(lit)
-    return Clause(tuple(sorted(out, key=abs)))
+    # Sorted, duplicate-free and free of complementary pairs by
+    # construction, so Clause's own check is skipped.
+    clause = object.__new__(Clause)
+    object.__setattr__(clause, "lits", tuple(sorted(out, key=abs)))
+    return clause
 
 
 # ---------------------------------------------------------------------------

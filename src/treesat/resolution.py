@@ -8,12 +8,19 @@ ascending order, and then joins the processed set.  So each unordered
 pair is tried exactly once, when the later-processed clause is given,
 and runs are deterministic.  Clause ids are assigned in discovery order
 (original clauses first), and every trace step names the older parent as
-`left`.  Resolvents that are tautologies, too wide, or already present
-are counted and dropped; novel ones join the store, the trace and the
-unprocessed set.  The first recorded derivation of a clause is the one
-its decision chain reports.  A budget's goal clause stops the run the
-moment it is stored; nothing else about the run changes, so a goal run
-is a prefix of the same run without a goal.
+`left`.  Resolvents that are tautologies, too wide, already present, or
+subsumed (a proper subset of their literals is stored: forward
+subsumption, as in McCune's OTTER 3.0 Reference Manual, 1994) are
+counted and dropped; the others join the store, the trace and the
+unprocessed set.  Stored clauses are never removed (no backward
+subsumption).  The first recorded derivation of a clause is the one its
+decision chain reports.  A budget's goal clause stops the run the moment
+it is stored, and a resolvent equal to the goal is stored even when it
+is subsumed; see `saturate` for when a goal run is a prefix of the run
+without one.  Without a width bound, a saturated store holds a subset of
+every clause the formula entails, so a unit missing from it is not
+entailed: the open depth-3 binomial tree saturates after 1,025 steps
+without its root unit, where it used to run out of the sweep budget.
 
 The loop encodes each stored clause once as one int mask: with
 n = num_vars + 1, bit v stands for +v and bit n+v for -v.  A pair's clash
@@ -24,8 +31,12 @@ more clashing variables every resolvent is a tautology (Robinson, JACM
 the resolvent is the union of the two masks less the clashing pair.  The
 store's dict is keyed by mask, and the canonical literal tuple is built
 only for resolvents that are stored; `Clause` objects only when a result
-is returned.  `resolve` and `replay_trace` work on literal tuples, so a
-replay checks a trace through a second, independent kernel.
+is returned.  A novel resolvent of width w is tested for subsumption by
+walking its 2^w - 2 proper non-empty sub-masks through that dict, or,
+when that is more lookups than the store has clauses, by testing the
+stored clauses filed under its literals.  `resolve` and `replay_trace`
+work on literal tuples, so a replay checks a trace through a second,
+independent kernel.
 """
 
 from __future__ import annotations
@@ -44,7 +55,9 @@ DEFAULT_MAX_STEPS = 10_000_000
 class Budget:
     """Work limits for saturation; max_width defaults to the formula's
     variable count (no resolvent can be wider anyway).  A goal clause, if
-    given, ends the run as soon as it is in the store."""
+    given, ends the run as soon as it is in the store.  The run is then a
+    prefix of the run without the goal, for every goal that no stored
+    clause subsumes; every unit goal is one."""
 
     max_clauses: int = DEFAULT_MAX_CLAUSES
     max_steps: int = DEFAULT_MAX_STEPS
@@ -89,6 +102,7 @@ class SaturationCounters:
     tautologies: int = 0
     duplicates: int = 0
     over_width: int = 0
+    subsumed: int = 0
 
 
 @dataclass(frozen=True)
@@ -185,10 +199,38 @@ def _lits_of(mask: int, n: int) -> tuple[int, ...]:
     return tuple(lits)
 
 
+def _subsumed(mask: int, width: int, ids: dict[int, int], by_lowest: dict[int, list[int]]) -> bool:
+    """Whether a proper non-empty subset of the novel clause `mask` is
+    stored.  A narrow clause walks its 2^width - 2 sub-masks through the
+    store's dict; a wider one tests the stored clauses filed under one of
+    its literals (each stored clause is filed under its lowest bit), so the
+    test never costs more than a pass over the store."""
+    if 1 << width <= len(ids):
+        sub = (mask - 1) & mask
+        while sub:
+            if sub in ids:
+                return True
+            sub = (sub - 1) & mask
+        return False
+    rest = mask
+    while rest:
+        low = rest & -rest
+        for stored in by_lowest.get(low, ()):
+            if stored & mask == stored:
+                return True
+        rest ^= low
+    return False
+
+
 def saturate(formula: CnfFormula, budget: Budget | None = None) -> SaturationResult:
     """Resolve to fixpoint, empty clause, goal clause or budget exhaustion,
     taking the narrowest unprocessed clause (lowest id on ties) as the
-    next given clause and resolving it against every processed clause."""
+    next given clause and resolving it against every processed clause.
+    A resolvent that a stored clause subsumes is dropped and counted as
+    `subsumed`, unless it is the goal.  So a goal run is a prefix of the
+    run without a goal for every goal that no stored clause subsumes when
+    it is derived.  That includes every unit goal, because only the empty
+    clause can subsume a unit."""
     budget = budget or Budget()
     max_width = budget.max_width if budget.max_width is not None else formula.num_vars
     max_steps = budget.max_steps
@@ -201,12 +243,15 @@ def saturate(formula: CnfFormula, budget: Budget | None = None) -> SaturationRes
     goal_mask = -1
     if goal is not None and all(abs(lit) < n for lit in goal.lits):
         goal_mask = _mask_of(goal.lits, n)
-    steps = tautologies = duplicates = over_width = 0
+    steps = tautologies = duplicates = over_width = subsumed = 0
     stopped_by = None
 
     store: list[tuple[int, ...]] = [c.lits for c in formula.clauses]
     masks = [_mask_of(lits, n) for lits in store]
     ids: dict[int, int] = {mask: i for i, mask in enumerate(masks)}
+    by_lowest: dict[int, list[int]] = {}
+    for mask in masks:
+        by_lowest.setdefault(mask & -mask, []).append(mask)
     unprocessed = [(len(lits), i) for i, lits in enumerate(store)]
     heapq.heapify(unprocessed)
     # Occurrences of processed clauses only: a given clause meets each
@@ -253,15 +298,20 @@ def saturate(formula: CnfFormula, budget: Budget | None = None) -> SaturationRes
             bit = clash.bit_length() - 1
             var = bit if bit < n else bit - n
             resolvent = (mask_g | mask_j) ^ (1 << var | 1 << (var + n))
-            if resolvent.bit_count() > max_width:
+            width = resolvent.bit_count()
+            if width > max_width:
                 over_width += 1
                 continue
             if resolvent in ids:
                 duplicates += 1
                 continue
+            if resolvent != goal_mask and _subsumed(resolvent, width, ids, by_lowest):
+                subsumed += 1
+                continue
             new_id = len(store)
             ids[resolvent] = new_id
             masks.append(resolvent)
+            by_lowest.setdefault(resolvent & -resolvent, []).append(resolvent)
             lits = _lits_of(resolvent, n)
             store.append(lits)
             heapq.heappush(unprocessed, (len(lits), new_id))
@@ -278,7 +328,9 @@ def saturate(formula: CnfFormula, budget: Budget | None = None) -> SaturationRes
         for lit in lits_g:
             occ.setdefault(lit, []).append(given)
 
-    counters = SaturationCounters(steps, len(trace), tautologies, duplicates, over_width)
+    counters = SaturationCounters(
+        steps, len(trace), tautologies, duplicates, over_width, subsumed
+    )
     clauses = formula.clauses + tuple(Clause(lits) for lits in store[n_original:])
     return SaturationResult(status, clauses, n_original, tuple(trace), counters, stopped_by)
 

@@ -130,11 +130,23 @@ def test_summarize_reports_each_family():
     assert "family binomial: k 2..5, 4 runs" in text
     assert "derived clauses ~" in text
     assert "dpll nodes" in text
-    # Only binomial k = 3..5 stop at the sweep budget.
-    assert text.count("runs stopped at the saturation budget") == 1
-    assert "3 of 4 runs stopped at the saturation budget" in text
+    # With forward subsumption no run stops at the sweep budget.
+    assert "runs stopped at the saturation budget" not in text
     with pytest.raises(ValueError):
         summarize([])
+
+
+def test_summarize_fits_only_runs_below_the_budget():
+    rows = [
+        make_record(k=k, variables=v, derived_clauses=v * v) for k, v in ((2, 3), (3, 6), (4, 12))
+    ]
+    capped = make_record(
+        k=5, variables=24, derived_clauses=100, saturation_status="budget-exhausted"
+    )
+    text = summarize(rows + [capped])
+    assert "derived clauses ~ 1 * n^2.00" in text
+    assert "(rms log10 residual 0.000, 3 points)" in text
+    assert "1 of 4 runs stopped at the saturation budget and are left out of the fit" in text
 
 
 def test_summarize_handles_unfittable_columns():
