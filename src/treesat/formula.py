@@ -68,6 +68,15 @@ class Clause:
             seen.add(var)
             last = var
 
+    @classmethod
+    def _unchecked(cls, lits: tuple[int, ...]) -> Clause:
+        """A clause from literals already sorted by variable, free of
+        duplicates and of complementary pairs, built without the check
+        above."""
+        clause = object.__new__(cls)
+        object.__setattr__(clause, "lits", lits)
+        return clause
+
     @property
     def width(self) -> int:
         return len(self.lits)
@@ -92,11 +101,7 @@ def make_clause(lits) -> Clause | Tautology:
         if -lit in out:
             return TAUTOLOGY
         out.add(lit)
-    # Sorted, duplicate-free and free of complementary pairs by
-    # construction, so Clause's own check is skipped.
-    clause = object.__new__(Clause)
-    object.__setattr__(clause, "lits", tuple(sorted(out, key=abs)))
-    return clause
+    return Clause._unchecked(tuple(sorted(out, key=abs)))
 
 
 # ---------------------------------------------------------------------------

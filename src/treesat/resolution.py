@@ -17,7 +17,7 @@ subsumption).  The first recorded derivation of a clause is the one its
 decision chain reports.  A budget's goal clause stops the run the moment
 it is stored, and a resolvent equal to the goal is stored even when it
 is subsumed; see `saturate` for when a goal run is a prefix of the run
-without one.  Without a width bound, a saturated store holds a subset of
+without one, and for why only a unit goal is sure to be found.  Without a width bound, a saturated store holds a subset of
 every clause the formula entails, so a unit missing from it is not
 entailed: the open depth-3 binomial tree saturates after 1,025 steps
 without its root unit, where it used to run out of the sweep budget.
@@ -33,8 +33,8 @@ store's dict is keyed by mask, and the canonical literal tuple is built
 only for resolvents that are stored; `Clause` objects only when a result
 is returned.  A novel resolvent of width w is tested for subsumption by
 walking its 2^w - 2 proper non-empty sub-masks through that dict, or,
-when that is more lookups than the store has clauses, by testing the
-stored clauses filed under its literals.  `resolve` and `replay_trace`
+when that is more lookups than the store has clauses, by scanning the
+stored masks.  `resolve` and `replay_trace`
 work on literal tuples, so a replay checks a trace through a second,
 independent kernel.
 """
@@ -57,7 +57,11 @@ class Budget:
     variable count (no resolvent can be wider anyway).  A goal clause, if
     given, ends the run as soon as it is in the store.  The run is then a
     prefix of the run without the goal, for every goal that no stored
-    clause subsumes; every unit goal is one."""
+    clause subsumes; every unit goal is one.  A wider goal can be missed:
+    once a proper subset of it is stored, the resolvents it would come
+    from may be dropped as subsumed, and the run goes on to saturation or
+    the budget.  So `goal-derived` is guaranteed only for a unit goal that
+    the run without the goal stores."""
 
     max_clauses: int = DEFAULT_MAX_CLAUSES
     max_steps: int = DEFAULT_MAX_STEPS
@@ -199,12 +203,11 @@ def _lits_of(mask: int, n: int) -> tuple[int, ...]:
     return tuple(lits)
 
 
-def _subsumed(mask: int, width: int, ids: dict[int, int], by_lowest: dict[int, list[int]]) -> bool:
+def _subsumed(mask: int, width: int, ids: dict[int, int], masks: list[int]) -> bool:
     """Whether a proper non-empty subset of the novel clause `mask` is
     stored.  A narrow clause walks its 2^width - 2 sub-masks through the
-    store's dict; a wider one tests the stored clauses filed under one of
-    its literals (each stored clause is filed under its lowest bit), so the
-    test never costs more than a pass over the store."""
+    store's dict; a wider one scans the stored masks, so the test never
+    costs more than one pass over the store."""
     if 1 << width <= len(ids):
         sub = (mask - 1) & mask
         while sub:
@@ -212,14 +215,7 @@ def _subsumed(mask: int, width: int, ids: dict[int, int], by_lowest: dict[int, l
                 return True
             sub = (sub - 1) & mask
         return False
-    rest = mask
-    while rest:
-        low = rest & -rest
-        for stored in by_lowest.get(low, ()):
-            if stored & mask == stored:
-                return True
-        rest ^= low
-    return False
+    return any(stored & mask == stored for stored in masks)
 
 
 def saturate(formula: CnfFormula, budget: Budget | None = None) -> SaturationResult:
@@ -230,7 +226,10 @@ def saturate(formula: CnfFormula, budget: Budget | None = None) -> SaturationRes
     `subsumed`, unless it is the goal.  So a goal run is a prefix of the
     run without a goal for every goal that no stored clause subsumes when
     it is derived.  That includes every unit goal, because only the empty
-    clause can subsume a unit."""
+    clause can subsume a unit.  A goal wider than one literal can be
+    missed once a proper subset of it is stored: the goal, or a clause it
+    would be resolved from, is then never derived, and the run ends as
+    the run without a goal does."""
     budget = budget or Budget()
     max_width = budget.max_width if budget.max_width is not None else formula.num_vars
     max_steps = budget.max_steps
@@ -249,9 +248,6 @@ def saturate(formula: CnfFormula, budget: Budget | None = None) -> SaturationRes
     store: list[tuple[int, ...]] = [c.lits for c in formula.clauses]
     masks = [_mask_of(lits, n) for lits in store]
     ids: dict[int, int] = {mask: i for i, mask in enumerate(masks)}
-    by_lowest: dict[int, list[int]] = {}
-    for mask in masks:
-        by_lowest.setdefault(mask & -mask, []).append(mask)
     unprocessed = [(len(lits), i) for i, lits in enumerate(store)]
     heapq.heapify(unprocessed)
     # Occurrences of processed clauses only: a given clause meets each
@@ -305,13 +301,12 @@ def saturate(formula: CnfFormula, budget: Budget | None = None) -> SaturationRes
             if resolvent in ids:
                 duplicates += 1
                 continue
-            if resolvent != goal_mask and _subsumed(resolvent, width, ids, by_lowest):
+            if resolvent != goal_mask and _subsumed(resolvent, width, ids, masks):
                 subsumed += 1
                 continue
             new_id = len(store)
             ids[resolvent] = new_id
             masks.append(resolvent)
-            by_lowest.setdefault(resolvent & -resolvent, []).append(resolvent)
             lits = _lits_of(resolvent, n)
             store.append(lits)
             heapq.heappush(unprocessed, (len(lits), new_id))

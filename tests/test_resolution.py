@@ -169,6 +169,18 @@ def test_forward_subsumption_drops_a_resolvent_unless_it_is_the_goal():
     assert goal.counters.subsumed == 0
 
 
+def test_a_wide_goal_is_missed_once_a_subset_of_it_is_stored():
+    # (1) is stored first, so (1 2 -5) and (1 2 -4) are dropped and the
+    # goal (1 2), which only they resolve to, never appears.
+    formula = build_formula(
+        [Clause((1, -3)), Clause((3,)), Clause((1, 2, -4, -5)), Clause((4,)), Clause((5,))]
+    )
+    plain = saturate(formula)
+    assert plain.derived == (Clause((1,)),)
+    assert plain.counters.subsumed == 2
+    assert saturate(formula, Budget(goal=Clause((1, 2)))) == plain
+
+
 def test_wide_resolvent_is_subsumed_by_a_narrow_clause():
     # The resolvent (2..10) has more sub-masks than the store has clauses,
     # so the test goes through the stored clauses instead.
