@@ -27,7 +27,6 @@ from .forge import (
     ClosureClause,
     NamedLit,
     RedundancySpec,
-    TreeNode,
     TreeSpec,
     build_binary_tree,
     build_binomial_tree,
@@ -36,7 +35,6 @@ from .forge import (
     build_unit_chain,
     compose_two_trees,
     parse_closure,
-    tree_nodes,
 )
 from .counts import (
     PathReport,

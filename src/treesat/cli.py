@@ -21,13 +21,11 @@ from .bench import (
     write_scatter_svg,
 )
 from .counts import (
-    ENUMERATION_DEPTH_CAP,
     binary_depth_for,
     binary_var_count,
     binomial_depth_for,
     binomial_var_count,
     candidate_combinations,
-    enumerate_paths,
     leaf_path_counts,
 )
 from .forge import (
@@ -276,11 +274,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         if args.k is None:
             raise ValueError("--k is required")
     if args.paths:
-        if args.k <= ENUMERATION_DEPTH_CAP:
-            report = enumerate_paths(args.k)
-        else:
-            report = leaf_path_counts(args.k)
-        print(report.to_text())
+        print(leaf_path_counts(args.k).to_text())
         return 0
     if args.vars:
         count = binary_var_count(args.k) if args.tree == "binary" else binomial_var_count(args.k)

@@ -70,17 +70,6 @@ class NamedLit:
 
 
 @dataclass(frozen=True)
-class TreeNode:
-    """One decision position of the pair-sharing tree."""
-
-    level: int
-    row: int
-    entry: VarName
-    left: SlotVar
-    right: SlotVar
-
-
-@dataclass(frozen=True)
 class RedundancySpec:
     node: tuple[int, int]
     count: int
@@ -106,20 +95,6 @@ class Closing(Enum):
 
     def __str__(self) -> str:
         return self.value
-
-
-def tree_nodes(k: int) -> list[TreeNode]:
-    """Decision positions (level, row) with 1 <= row <= level <= k."""
-    if k < 1:
-        raise ValueError("tree depth must be at least 1")
-    nodes = []
-    for level in range(1, k + 1):
-        for row in range(1, level + 1):
-            entry: VarName = RootVar() if level == 1 else SlotVar(level, row)
-            nodes.append(
-                TreeNode(level, row, entry, SlotVar(level + 1, row), SlotVar(level + 1, row + 1))
-            )
-    return nodes
 
 
 # ---------------------------------------------------------------------------
@@ -308,12 +283,6 @@ def build_binomial_tree(spec: TreeSpec) -> CnfFormula:
         metadata["substitutions"] = ";".join(
             f"{slot}={lit}" for slot, lit in spec.substitutions
         )
-    formula = _finish(em, metadata)
-    if not spec.redundancy and not spec.implicit_nodes:
-        return formula
-    # Transforms edit the deduplicated tree; the metadata gains one tag per
-    # kind, and the width-two count is taken again from the final clauses.
-    em.clauses = list(formula.clauses)
     for red in spec.redundancy:
         _add_redundancy(em, spec.k, root_lit, red)
     for node, via in spec.implicit_nodes:

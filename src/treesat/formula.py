@@ -282,11 +282,7 @@ class CnfFormula:
 
     def with_extra(self, extra: list[Clause]) -> CnfFormula:
         """Copy with additional clauses appended (duplicates dropped)."""
-        have = {c.lits for c in self.clauses}
-        added = tuple(c for c in extra if c.lits not in have)
-        return CnfFormula(
-            self.clauses + added, self.num_vars, self.atlas, dict(self.metadata)
-        )
+        return build_formula(self.clauses + tuple(extra), self.num_vars, self.atlas, self.metadata)
 
 
 def build_formula(clauses, num_vars=None, atlas=None, metadata=None) -> CnfFormula:
@@ -296,17 +292,14 @@ def build_formula(clauses, num_vars=None, atlas=None, metadata=None) -> CnfFormu
     """
     out: list[Clause] = []
     seen: set[tuple[int, ...]] = set()
-    top = 0
     for clause in clauses:
         if isinstance(clause, Tautology):
             raise ValueError("tautologies cannot be stored in a formula")
-        if clause.lits in seen:
-            continue
-        seen.add(clause.lits)
-        out.append(clause)
-        if clause.lits:
-            top = max(top, max(clause.variables()))
+        if clause.lits not in seen:
+            seen.add(clause.lits)
+            out.append(clause)
     if num_vars is None:
+        top = max((abs(c.lits[-1]) for c in out if c.lits), default=0)
         num_vars = len(atlas) if atlas is not None else top
     return CnfFormula(
         tuple(out), num_vars, atlas if atlas is not None else Atlas(),
@@ -341,8 +334,6 @@ def parse_dimacs(text: str) -> CnfFormula:
     id_lines: dict[int, int] = {}
     num_vars = num_clauses = -1
     clauses: list[Clause] = []
-    seen: set[tuple[int, ...]] = set()
-    parsed = 0
     pending: list[int] = []
     pending_line = 0
 
@@ -373,6 +364,8 @@ def parse_dimacs(text: str) -> CnfFormula:
                 atlas_ids[vid] = name
             continue
         if line.startswith("p"):
+            if num_vars >= 0:
+                raise DimacsError(f"line {lineno}: second header {line!r}")
             fields = line.split()
             if len(fields) != 4 or fields[1] != "cnf":
                 raise DimacsError(f"line {lineno}: malformed header {line!r}")
@@ -396,10 +389,7 @@ def parse_dimacs(text: str) -> CnfFormula:
                     raise DimacsError(
                         f"line {lineno}: tautologous clause {' '.join(map(str, pending))}"
                     )
-                parsed += 1
-                if clause.lits not in seen:
-                    seen.add(clause.lits)
-                    clauses.append(clause)
+                clauses.append(clause)
                 pending = []
             else:
                 if abs(lit) > num_vars:
@@ -414,8 +404,8 @@ def parse_dimacs(text: str) -> CnfFormula:
         raise DimacsError(f"line {pending_line}: clause not terminated by 0")
     if num_vars < 0:
         raise DimacsError("line 1: missing header")
-    if parsed != num_clauses:
-        raise DimacsError(f"header declares {num_clauses} clauses, found {parsed}")
+    if len(clauses) != num_clauses:
+        raise DimacsError(f"header declares {num_clauses} clauses, found {len(clauses)}")
     for vid in sorted(atlas_ids):
         expected = len(atlas) + 1
         if vid != expected:
@@ -423,4 +413,4 @@ def parse_dimacs(text: str) -> CnfFormula:
         if vid > num_vars:
             raise DimacsError(f"atlas id {vid} above declared count {num_vars}")
         atlas.register(atlas_ids[vid])
-    return CnfFormula(tuple(clauses), num_vars, atlas, metadata)
+    return build_formula(clauses, num_vars, atlas, metadata)

@@ -73,14 +73,13 @@ def _bit_table(position: int, size_bits: int) -> int:
     return table
 
 
-def brute_force_sat(formula: CnfFormula, max_vars: int = BRUTE_FORCE_VAR_CAP) -> OracleVerdict:
+def brute_force_sat(formula: CnfFormula) -> OracleVerdict:
     """Try every assignment; Sat verdicts carry the lexicographically
-    first model.  Refuses formulas above `max_vars` variables."""
+    first model.  Refuses formulas above BRUTE_FORCE_VAR_CAP variables."""
     n = formula.num_vars
-    if n > max_vars:
+    if n > BRUTE_FORCE_VAR_CAP:
         raise ValueError(
-            f"{n} variables exceeds the brute-force cap of {max_vars}; "
-            "raise max_vars explicitly or use dpll_sat"
+            f"{n} variables exceeds the brute-force cap of {BRUTE_FORCE_VAR_CAP}; use dpll_sat"
         )
     # Mask bit n-i holds variable i so that integer order equals
     # lexicographic order over (x1, ..., xn) with False < True.  The low
@@ -244,10 +243,7 @@ def is_dominant(formula: CnfFormula, lit: int, oracle=dpll_sat) -> bool:
     model (the literal's complement makes it unsatisfiable)."""
     if not 1 <= abs(lit) <= formula.num_vars:
         raise ValueError(f"variable {abs(lit)} not in formula")
-    if not oracle(formula).is_sat:
-        return False
-    blocked = formula.with_extra([make_clause([-lit])])
-    return not oracle(blocked).is_sat
+    return oracle(formula).is_sat and entails(formula, Clause((lit,)), oracle)
 
 
 def entails(formula: CnfFormula, clause: Clause, oracle=dpll_sat) -> bool:

@@ -16,11 +16,12 @@ unprocessed set.  Stored clauses are never removed (no backward
 subsumption).  The first recorded derivation of a clause is the one its
 decision chain reports.  A budget's goal clause stops the run the moment
 it is stored, and a resolvent equal to the goal is stored even when it
-is subsumed; see `saturate` for when a goal run is a prefix of the run
-without one, and for why only a unit goal is sure to be found.  Without a width bound, a saturated store holds a subset of
-every clause the formula entails, so a unit missing from it is not
-entailed: the open depth-3 binomial tree saturates after 1,025 steps
-without its root unit, where it used to run out of the sweep budget.
+is subsumed; `Budget` says when a goal run is a prefix of the run
+without one, and which goals a run can miss.  Without a width bound, a
+saturated store holds a subset of every clause the formula entails, so
+a unit missing from it is not entailed: the open depth-3 binomial tree
+saturates after 1,025 steps without its root unit, where it used to run
+out of the sweep budget.
 
 The loop encodes each stored clause once as one int mask: with
 n = num_vars + 1, bit v stands for +v and bit n+v for -v.  A pair's clash
@@ -34,9 +35,8 @@ only for resolvents that are stored; `Clause` objects only when a result
 is returned.  A novel resolvent of width w is tested for subsumption by
 walking its 2^w - 2 proper non-empty sub-masks through that dict, or,
 when that is more lookups than the store has clauses, by scanning the
-stored masks.  `resolve` and `replay_trace`
-work on literal tuples, so a replay checks a trace through a second,
-independent kernel.
+stored masks.  `replay_trace` runs every step through `resolve` on
+literal tuples, so a replay checks a trace by a second, independent rule.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ import heapq
 from dataclasses import dataclass, replace
 from enum import Enum
 
-from .formula import TAUTOLOGY, Clause, CnfFormula, Tautology
+from .formula import Clause, CnfFormula, Tautology, make_clause
 
 DEFAULT_MAX_CLAUSES = 1_000_000
 DEFAULT_MAX_STEPS = 10_000_000
@@ -150,36 +150,12 @@ class DecisionChain:
         return len(self.connected) == 1
 
 
-def _clash(set_a: set[int], lits_b: tuple[int, ...]) -> list[int]:
-    """The literals of clause b whose complement is in clause a, in b's
-    order (ascending variable).  With two or more, every resolvent of the
-    pair is a tautology."""
-    return [lit for lit in lits_b if -lit in set_a]
-
-
-def _resolvent(set_a: set[int], lits_b: tuple[int, ...], lit: int) -> set[int]:
-    """Literals of the resolvent of a and b on `lit`, b's only clashing
-    literal; it cannot be a tautology."""
-    merged = set_a.union(lits_b)
-    merged.discard(lit)
-    merged.discard(-lit)
-    return merged
-
-
-def _canonical(lits: set[int]) -> tuple[int, ...]:
-    return tuple(sorted(lits, key=abs))
-
-
 def resolve(c1: Clause, c2: Clause, var: int) -> Clause | Tautology:
     """Resolve two clauses on `var`, which must occur with opposite signs
     in the parents.  Returns the canonical resolvent or TAUTOLOGY."""
-    set1 = set(c1.lits)
-    clash = _clash(set1, c2.lits)
-    if var not in clash and -var not in clash:
+    if not (var in c1.lits and -var in c2.lits or -var in c1.lits and var in c2.lits):
         raise ValueError(f"parents are not complementary on variable {var}")
-    if len(clash) > 1:
-        return TAUTOLOGY
-    return Clause(_canonical(_resolvent(set1, c2.lits, clash[0])))
+    return make_clause(lit for lit in c1.lits + c2.lits if lit != var and lit != -var)
 
 
 def _mask_of(lits: tuple[int, ...], n: int) -> int:
@@ -223,13 +199,8 @@ def saturate(formula: CnfFormula, budget: Budget | None = None) -> SaturationRes
     taking the narrowest unprocessed clause (lowest id on ties) as the
     next given clause and resolving it against every processed clause.
     A resolvent that a stored clause subsumes is dropped and counted as
-    `subsumed`, unless it is the goal.  So a goal run is a prefix of the
-    run without a goal for every goal that no stored clause subsumes when
-    it is derived.  That includes every unit goal, because only the empty
-    clause can subsume a unit.  A goal wider than one literal can be
-    missed once a proper subset of it is stored: the goal, or a clause it
-    would be resolved from, is then never derived, and the run ends as
-    the run without a goal does."""
+    `subsumed`, unless it is the goal; `Budget` says which goals a run
+    can miss."""
     budget = budget or Budget()
     max_width = budget.max_width if budget.max_width is not None else formula.num_vars
     max_steps = budget.max_steps
@@ -326,7 +297,7 @@ def saturate(formula: CnfFormula, budget: Budget | None = None) -> SaturationRes
     counters = SaturationCounters(
         steps, len(trace), tautologies, duplicates, over_width, subsumed
     )
-    clauses = formula.clauses + tuple(Clause(lits) for lits in store[n_original:])
+    clauses = formula.clauses + tuple(Clause._unchecked(lits) for lits in store[n_original:])
     return SaturationResult(status, clauses, n_original, tuple(trace), counters, stopped_by)
 
 
@@ -383,19 +354,18 @@ def is_dominant_by_resolution(
 def replay_trace(formula: CnfFormula, trace: tuple[ResolutionStep, ...]) -> list[Clause]:
     """Re-run a recorded trace from the original clauses; raises if any
     step fails to reproduce.  Returns the reconstructed store."""
-    store = [c.lits for c in formula.clauses]
+    store = list(formula.clauses)
     for step in trace:
-        set_left = set(store[step.left])
-        lits_right = store[step.right]
-        clash = _clash(set_left, lits_right)
-        if step.var not in clash and -step.var not in clash:
-            raise ValueError(f"step {step}: parents are not complementary on variable {step.var}")
-        if len(clash) > 1:
+        try:
+            resolvent = resolve(store[step.left], store[step.right], step.var)
+        except ValueError as exc:
+            raise ValueError(f"step {step}: {exc}") from None
+        if isinstance(resolvent, Tautology):
             raise ValueError(f"step {step} resolves to a tautology on replay")
         if step.result != len(store):
             raise ValueError(f"step {step} out of order on replay")
-        store.append(_canonical(_resolvent(set_left, lits_right, clash[0])))
-    return list(formula.clauses) + [Clause(lits) for lits in store[len(formula.clauses) :]]
+        store.append(resolvent)
+    return store
 
 
 def export_trace(result: SaturationResult) -> str:

@@ -38,7 +38,6 @@ from .forge import (
     build_pair_chain,
     build_unit_chain,
     compose_two_trees,
-    tree_nodes,
 )
 from .formula import (
     ChainVar,
@@ -235,20 +234,19 @@ def _check_redundancy() -> tuple[bool, str]:
     for k in (3, 4):
         formula = build_binomial_tree(TreeSpec(k=k))
         baseline = dpll_sat(formula).status
-        for node in tree_nodes(k):
-            if node.level == k:
-                continue
-            seed = 100 * k + 10 * node.level + node.row
-            spec = TreeSpec(k, redundancy=(RedundancySpec((node.level, node.row), 20, seed),))
+        non_leaf = [(level, row) for level in range(1, k) for row in range(1, level + 1)]
+        for level, row in non_leaf:
+            seed = 100 * k + 10 * level + row
+            spec = TreeSpec(k, redundancy=(RedundancySpec((level, row), 20, seed),))
             extended = build_binomial_tree(spec)
             extra = extended.clauses[formula.num_clauses :]
             if len(extra) != 20:
-                return False, f"k={k} node ({node.level},{node.row}): got {len(extra)} clauses"
+                return False, f"k={k} node ({level},{row}): got {len(extra)} clauses"
             for clause in extra:
                 if not entails(formula, clause):
-                    return False, f"k={k} node ({node.level},{node.row}): {clause} not entailed"
+                    return False, f"k={k} node ({level},{row}): {clause} not entailed"
             if dpll_sat(extended).status is not baseline:
-                return False, f"k={k} node ({node.level},{node.row}): verdict changed"
+                return False, f"k={k} node ({level},{row}): verdict changed"
     return True, "k=3..4: 20 seeded clauses per non-leaf node, all entailed, verdicts unchanged"
 
 

@@ -135,6 +135,13 @@ def test_solve_rejects_a_name_given_twice(capsys, tmp_path):
     assert code == 1 and "line 2: variable name z0" in err
 
 
+def test_solve_rejects_a_second_header(capsys, tmp_path):
+    path = tmp_path / "two-headers.cnf"
+    path.write_text("p cnf 5 2\n5 0\np cnf 1 2\n1 0\n")
+    code, _, err = run_cli(capsys, "solve", "--in", str(path))
+    assert code == 1 and "line 3: second header" in err
+
+
 def test_solve_reads_dimacs_files(capsys, tmp_path):
     path = tmp_path / "matched.cnf"
     path.write_text(write_dimacs(compose_two_trees(2, Closing.MATCHED)))

@@ -16,7 +16,6 @@ from treesat.forge import (
     build_unit_chain,
     compose_two_trees,
     parse_closure,
-    tree_nodes,
 )
 from treesat.formula import (
     ChainVar,
@@ -64,17 +63,6 @@ def test_chain_families_force_the_root():
     for k in (2, 3, 5):
         assert is_dominant(build_unit_chain(k), 1)
         assert is_dominant(build_pair_chain(k), 1)
-
-
-def test_tree_nodes_positions():
-    nodes = tree_nodes(3)
-    assert len(nodes) == 6
-    assert (nodes[0].level, nodes[0].row) == (1, 1)
-    assert nodes[0].entry == RootVar()
-    assert nodes[3].entry == SlotVar(3, 1)
-    assert nodes[3].left == SlotVar(4, 1) and nodes[3].right == SlotVar(4, 2)
-    with pytest.raises(ValueError):
-        tree_nodes(0)
 
 
 def test_binomial_tree_golden():

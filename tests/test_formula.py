@@ -199,6 +199,7 @@ def test_parse_dimacs_duplicate_clauses_counted_against_header():
         ("c var 1 what\np cnf 1 1\n1 0\n", "unrecognized"),
         ("c var 1 z0\nc var 2 z0\np cnf 2 1\n1 0\n", "line 2: variable name z0 already given on line 1"),
         ("c var 1 z0\nc var 1 z1\np cnf 1 1\n1 0\n", "line 2: variable id 1 already named on line 1"),
+        ("p cnf 5 2\n5 0\np cnf 1 2\n1 0\n", "line 3: second header"),
     ],
 )
 def test_parse_dimacs_rejects_malformed_input(text, fragment):

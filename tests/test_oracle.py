@@ -143,7 +143,6 @@ def test_brute_force_refuses_large_formulas():
     f = build_formula([Clause((1,))], BRUTE_FORCE_VAR_CAP + 1)
     with pytest.raises(ValueError):
         brute_force_sat(f)
-    assert brute_force_sat(f, max_vars=BRUTE_FORCE_VAR_CAP + 1).is_sat
 
 
 def test_dpll_verdicts_on_tree_compositions():

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import random
+import re
 
 import pytest
 
@@ -320,6 +321,20 @@ def test_replay_trace_rejects_tampered_steps():
     reordered = (ResolutionStep(trace[0].left, trace[0].right, trace[0].var, 5),)
     with pytest.raises(ValueError):
         replay_trace(formula, reordered)
+
+
+@pytest.mark.parametrize(
+    "step,fragment",
+    [
+        (ResolutionStep(0, 2, 1, 4), "parents are not complementary on variable 1"),
+        (ResolutionStep(0, 1, 1, 4), "resolves to a tautology on replay"),
+        (ResolutionStep(2, 3, 1, 9), "out of order on replay"),
+    ],
+)
+def test_replay_trace_names_the_failing_step(step, fragment):
+    formula = build_formula([Clause((1, 2)), Clause((-1, -2)), Clause((1,)), Clause((-1,))])
+    with pytest.raises(ValueError, match=f"step {re.escape(str(step))}.*{fragment}"):
+        replay_trace(formula, (step,))
 
 
 def test_export_trace_lines():
