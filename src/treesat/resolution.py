@@ -14,14 +14,12 @@ subsumption, as in McCune's OTTER 3.0 Reference Manual, 1994) are
 counted and dropped; the others join the store, the trace and the
 unprocessed set.  Stored clauses are never removed (no backward
 subsumption).  The first recorded derivation of a clause is the one its
-decision chain reports.  A budget's goal clause stops the run the moment
-it is stored, and a resolvent equal to the goal is stored even when it
-is subsumed; `Budget` says when a goal run is a prefix of the run
-without one, and which goals a run can miss.  Without a width bound, a
-saturated store holds a subset of every clause the formula entails, so
-a unit missing from it is not entailed: the open depth-3 binomial tree
-saturates after 1,025 steps without its root unit, where it used to run
-out of the sweep budget.
+decision chain reports.  A run ends at the first stored clause that
+subsumes its goal (`Budget`).  Without a width bound, a saturated store
+holds a subset of every clause the formula entails, so a unit missing
+from it is not entailed: the open depth-3 binomial tree saturates after
+1,025 steps without its root unit, where it used to run out of the sweep
+budget.
 
 The loop encodes each stored clause once as one int mask: with
 n = num_vars + 1, bit v stands for +v and bit n+v for -v.  A pair's clash
@@ -54,14 +52,11 @@ DEFAULT_MAX_STEPS = 10_000_000
 @dataclass(frozen=True)
 class Budget:
     """Work limits for saturation; max_width defaults to the formula's
-    variable count (no resolvent can be wider anyway).  A goal clause, if
-    given, ends the run as soon as it is in the store.  The run is then a
-    prefix of the run without the goal, for every goal that no stored
-    clause subsumes; every unit goal is one.  A wider goal can be missed:
-    once a proper subset of it is stored, the resolvents it would come
-    from may be dropped as subsumed, and the run goes on to saturation or
-    the budget.  So `goal-derived` is guaranteed only for a unit goal that
-    the run without the goal stores."""
+    variable count (no resolvent can be wider anyway).  The run ends at
+    the first stored clause that subsumes the goal, which without a goal
+    is the empty clause: `empty-derived` if that clause is empty, else
+    `goal-derived`.  So a goal run is the run without the goal, cut at
+    that run's first stored subsumer of the goal."""
 
     max_clauses: int = DEFAULT_MAX_CLAUSES
     max_steps: int = DEFAULT_MAX_STEPS
@@ -195,24 +190,21 @@ def _subsumed(mask: int, width: int, ids: dict[int, int], masks: list[int]) -> b
 
 
 def saturate(formula: CnfFormula, budget: Budget | None = None) -> SaturationResult:
-    """Resolve to fixpoint, empty clause, goal clause or budget exhaustion,
-    taking the narrowest unprocessed clause (lowest id on ties) as the
-    next given clause and resolving it against every processed clause.
-    A resolvent that a stored clause subsumes is dropped and counted as
-    `subsumed`, unless it is the goal; `Budget` says which goals a run
-    can miss."""
+    """Resolve to fixpoint, to a stored clause that subsumes the goal
+    (`Budget`) or to budget exhaustion, taking the narrowest unprocessed
+    clause (lowest id on ties) as the next given clause and resolving it
+    against every processed clause.  A resolvent that a stored clause
+    subsumes is dropped and counted as `subsumed`."""
     budget = budget or Budget()
     max_width = budget.max_width if budget.max_width is not None else formula.num_vars
     max_steps = budget.max_steps
     max_clauses = budget.max_clauses
     n = formula.num_vars + 1
     low_half = (1 << n) - 1
-    goal = budget.goal
-    # A goal on a variable the formula lacks can never be stored; -1 is no
-    # clause's mask.
-    goal_mask = -1
-    if goal is not None and all(abs(lit) < n for lit in goal.lits):
-        goal_mask = _mask_of(goal.lits, n)
+    # Literals on variables the formula lacks only widen the goal; no goal
+    # is the empty clause.
+    goal_lits = budget.goal.lits if budget.goal is not None else ()
+    goal_mask = _mask_of(tuple(lit for lit in goal_lits if abs(lit) < n), n)
     steps = tautologies = duplicates = over_width = subsumed = 0
     stopped_by = None
 
@@ -228,10 +220,10 @@ def saturate(formula: CnfFormula, budget: Budget | None = None) -> SaturationRes
     n_original = len(store)
 
     status = SaturationStatus.SATURATED
-    if goal_mask in ids:
-        status = SaturationStatus.GOAL_DERIVED
-    elif 0 in ids:
+    if 0 in ids:
         status = SaturationStatus.EMPTY_DERIVED
+    elif any(mask & goal_mask == mask for mask in masks):
+        status = SaturationStatus.GOAL_DERIVED
 
     while status is SaturationStatus.SATURATED and unprocessed:
         if len(store) >= max_clauses:
@@ -272,7 +264,7 @@ def saturate(formula: CnfFormula, budget: Budget | None = None) -> SaturationRes
             if resolvent in ids:
                 duplicates += 1
                 continue
-            if resolvent != goal_mask and _subsumed(resolvent, width, ids, masks):
+            if _subsumed(resolvent, width, ids, masks):
                 subsumed += 1
                 continue
             new_id = len(store)
@@ -282,11 +274,10 @@ def saturate(formula: CnfFormula, budget: Budget | None = None) -> SaturationRes
             store.append(lits)
             heapq.heappush(unprocessed, (len(lits), new_id))
             trace.append(ResolutionStep(min(j, given), max(j, given), var, new_id))
-            if resolvent == goal_mask:
-                status = SaturationStatus.GOAL_DERIVED
-                break
-            if not resolvent:
-                status = SaturationStatus.EMPTY_DERIVED
+            if resolvent & goal_mask == resolvent:
+                status = (
+                    SaturationStatus.GOAL_DERIVED if resolvent else SaturationStatus.EMPTY_DERIVED
+                )
                 break
             if len(store) >= max_clauses:
                 status, stopped_by = SaturationStatus.BUDGET_EXHAUSTED, "max_clauses"
@@ -336,15 +327,16 @@ def decision_chain_of(result: SaturationResult, clause_id: int) -> DecisionChain
 def is_dominant_by_resolution(
     formula: CnfFormula, lit: int, budget: Budget | None = None
 ) -> ResolutionDominance:
-    """DOMINANT iff saturation derives the unit clause {lit} in budget;
-    the run stops as soon as it does.  DOMINANT means the formula entails
-    {lit}.  That holds vacuously on an unsatisfiable formula, such as the
-    matched composition, where `oracle.is_dominant` says False because it
-    also needs a model."""
+    """DOMINANT iff saturation stores a clause that subsumes the unit
+    {lit} in budget, the unit or the empty clause; the run stops there.
+    DOMINANT means the formula entails {lit}, vacuously when it is
+    unsatisfiable, such as the matched composition, where
+    `oracle.is_dominant` says False because it also needs a model.
+    NOT_SHOWN follows only a saturated run."""
     if not 1 <= abs(lit) <= formula.num_vars:
         raise ValueError(f"variable {abs(lit)} not in formula")
     result = saturate(formula, replace(budget or Budget(), goal=Clause((lit,))))
-    if result.status is SaturationStatus.GOAL_DERIVED:
+    if result.status in (SaturationStatus.GOAL_DERIVED, SaturationStatus.EMPTY_DERIVED):
         return ResolutionDominance.DOMINANT
     if result.status is SaturationStatus.BUDGET_EXHAUSTED:
         return ResolutionDominance.BUDGET_EXHAUSTED

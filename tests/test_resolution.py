@@ -17,7 +17,7 @@ from treesat.forge import (
 from treesat.formula import (
     Clause, EMPTY_CLAUSE, TAUTOLOGY, RootVar, build_formula, make_clause,
 )
-from treesat.oracle import dpll_sat, is_dominant
+from treesat.oracle import entails
 from treesat.resolution import (
     Budget,
     ResolutionDominance,
@@ -156,7 +156,7 @@ def test_saturate_matches_golden_runs(build, budget, expected):
     assert observed == expected
 
 
-def test_forward_subsumption_drops_a_resolvent_unless_it_is_the_goal():
+def test_forward_subsumption_drops_a_resolvent_and_a_goal_run_stops_at_its_subsumer():
     formula = build_formula(
         [Clause((1, -3)), Clause((3,)), Clause((1, 2, -4)), Clause((4,))]
     )
@@ -166,20 +166,25 @@ def test_forward_subsumption_drops_a_resolvent_unless_it_is_the_goal():
     assert plain.counters.subsumed == 1  # (1 2), subsumed by (1)
     goal = saturate(formula, Budget(goal=Clause((1, 2))))
     assert goal.status is SaturationStatus.GOAL_DERIVED
-    assert goal.derived == (Clause((1,)), Clause((1, 2)))
+    assert goal.store == plain.store
     assert goal.counters.subsumed == 0
+    assert goal.counters.steps < plain.counters.steps
 
 
-def test_a_wide_goal_is_missed_once_a_subset_of_it_is_stored():
-    # (1) is stored first, so (1 2 -5) and (1 2 -4) are dropped and the
-    # goal (1 2), which only they resolve to, never appears.
+def test_a_wide_goal_run_ends_at_a_stored_subset_of_the_goal():
+    # (1) is stored first, so (1 2 -5) and (1 2 -4) are dropped and (1 2)
+    # itself never appears; (1) subsumes the goal and ends the run.
     formula = build_formula(
         [Clause((1, -3)), Clause((3,)), Clause((1, 2, -4, -5)), Clause((4,)), Clause((5,))]
     )
     plain = saturate(formula)
     assert plain.derived == (Clause((1,)),)
     assert plain.counters.subsumed == 2
-    assert saturate(formula, Budget(goal=Clause((1, 2)))) == plain
+    goal = saturate(formula, Budget(goal=Clause((1, 2))))
+    assert goal.status is SaturationStatus.GOAL_DERIVED
+    assert goal.store[-1] == Clause((1,))
+    assert goal.trace == plain.trace[: len(goal.trace)]
+    assert goal.counters.subsumed == 0
 
 
 def test_wide_resolvent_is_subsumed_by_a_narrow_clause():
@@ -377,7 +382,7 @@ def test_goal_stops_at_an_original_clause_and_at_the_empty_clause():
     assert result.counters.steps == 0
     assert not result.derived
     refuted = saturate(build_formula([Clause((1,)), Clause((-1,))]), Budget(goal=EMPTY_CLAUSE))
-    assert refuted.status is SaturationStatus.GOAL_DERIVED
+    assert refuted.status is SaturationStatus.EMPTY_DERIVED
     assert refuted.derived == (EMPTY_CLAUSE,)
 
 
@@ -391,16 +396,52 @@ def test_goal_never_derived_leaves_the_run_unchanged():
     assert saturate(formula, dataclasses.replace(budget, goal=unit)) == full
 
 
+def test_a_goal_run_ends_at_the_first_subsumer_in_the_run_without_goal():
+    rng = random.Random(23)
+    budget = Budget(max_steps=2_000)
+    for _ in range(500):
+        n = rng.randint(2, 8)
+        clauses = [
+            make_clause([v if rng.random() < 0.5 else -v
+                         for v in rng.sample(range(1, n + 1), rng.randint(1, min(n, 4)))])
+            for _ in range(rng.randint(2, 3 * n))
+        ]
+        formula = build_formula([c for c in clauses if c is not TAUTOLOGY], n)
+        # Goals may be wide and may name variables the formula lacks.
+        goal = make_clause([v if rng.random() < 0.5 else -v
+                            for v in rng.sample(range(1, n + 3), rng.randint(1, 4))])
+        full = saturate(formula, budget)
+        run = saturate(formula, dataclasses.replace(budget, goal=goal))
+        first = next(
+            (i for i, c in enumerate(full.store) if set(c.lits) <= set(goal.lits)), None
+        )
+        if first is None:
+            assert run == full, (formula, goal)
+            continue
+        end = max(first + 1, full.n_original)
+        assert run.store == full.store[:end], (formula, goal)
+        assert run.trace == full.trace[: end - full.n_original]
+        expected = (
+            SaturationStatus.GOAL_DERIVED if full.store[first].lits
+            else SaturationStatus.EMPTY_DERIVED
+        )
+        assert run.status is expected
+
+
 def test_dominance_by_resolution_agrees_with_the_oracle():
     budget = Budget(max_clauses=5_000, max_steps=50_000)
     for name, build in FAMILIES.items():
         for k in range(2, 9):
             formula = build(k)
             root = formula.atlas.id_of(RootVar())
-            verdict = is_dominant_by_resolution(formula, root, budget)
-            if verdict is ResolutionDominance.BUDGET_EXHAUSTED:
-                continue
-            # Deriving the unit shows it is entailed; is_dominant also asks
-            # for a model, which an unsatisfiable formula lacks.
-            entailed = is_dominant(formula, root) or not dpll_sat(formula).is_sat
-            assert (verdict is ResolutionDominance.DOMINANT) == entailed, (name, k)
+            lits = (
+                [s * v for v in range(1, formula.num_vars + 1) for s in (1, -1)]
+                if k <= 3 else [root]
+            )
+            for lit in lits:
+                verdict = is_dominant_by_resolution(formula, lit, budget)
+                if verdict is ResolutionDominance.BUDGET_EXHAUSTED:
+                    continue
+                # Deriving the unit, or the empty clause, shows it is entailed.
+                entailed = entails(formula, Clause((lit,)))
+                assert (verdict is ResolutionDominance.DOMINANT) == entailed, (name, k, lit)
