@@ -79,7 +79,8 @@ class RedundancySpec:
 @dataclass(frozen=True)
 class TreeSpec:
     """Recipe for one generated formula of the pair-sharing tree family.
-    Redundancy clauses are drawn before any node is made implicit."""
+    Redundancy clauses are drawn from a node's cone as the closure,
+    substitutions and implicit nodes alias it."""
 
     k: int = 3
     closure: Closure = Alias(1)
@@ -103,28 +104,33 @@ class Closing(Enum):
 
 class _Emitter:
     """Accumulates clauses against a shared atlas, resolving slot names
-    through a substitution map (aliases, substitutions, implicit nodes)."""
+    through a substitution map (aliases, substitutions, implicit nodes).
+    A name is bound to a literal or to another name, which `lit` resolves
+    in turn when the name is used."""
 
     def __init__(self) -> None:
         self.atlas = Atlas()
         self.clauses: list[Clause] = []
-        self.sub: dict[VarName, int] = {}
+        self.sub: dict[VarName, int | VarName] = {}
 
     def lit(self, name: VarName, negated: bool = False) -> int:
-        if name in self.sub:
-            resolved = self.sub[name]
-        else:
+        target = self.sub.get(name)
+        if target is None:
             resolved = self.atlas.register(name)
+        elif isinstance(target, int):
+            resolved = target
+        else:
+            resolved = self.lit(target)
         return -resolved if negated else resolved
 
-    def bind(self, name: VarName, lit: int) -> None:
-        self.sub[name] = lit
+    def bind(self, name: VarName, target: int | VarName) -> None:
+        self.sub[name] = target
 
     def add(self, *lits: int) -> None:
         clause = make_clause(lits)
         if isinstance(clause, Tautology):
             raise ValueError(
-                "substitution makes a generated clause tautologous: "
+                "a substitution or implicit node makes a generated clause tautologous: "
                 + " ".join(str(l) for l in lits)
             )
         self.clauses.append(clause)
@@ -144,8 +150,10 @@ def _emit_binomial(
     closure: Closure,
     alias_lit: int | None = None,
     tree: int = 0,
+    implicit: frozenset[tuple[int, int]] = frozenset(),
 ) -> None:
-    """Emit a depth-k pair-sharing tree entered through `root_lit`."""
+    """Emit a depth-k pair-sharing tree entered through `root_lit`; an
+    implicit node keeps only the first clause of its triple."""
     if isinstance(closure, Alias):
         if not 1 <= closure.row <= k + 1:
             raise ValueError(f"closure row {closure.row} outside boundary 1..{k + 1}")
@@ -158,7 +166,10 @@ def _emit_binomial(
             entry = root_lit if level == 1 else em.lit(SlotVar(level, row, tree), negated=True)
             a = em.lit(SlotVar(level + 1, row, tree))
             b = em.lit(SlotVar(level + 1, row + 1, tree))
-            _emit_triple(em, entry, a, b)
+            if (level, row) in implicit:
+                em.add(entry, a, b)
+            else:
+                _emit_triple(em, entry, a, b)
     if isinstance(closure, ClosureClause):
         if not 1 <= closure.row <= k + 1:
             raise ValueError(f"closure row {closure.row} outside boundary 1..{k + 1}")
@@ -269,7 +280,9 @@ def build_binomial_tree(spec: TreeSpec) -> CnfFormula:
     root = em.lit(RootVar())
     root_lit = -root if spec.root_negated else root
     _apply_substitutions(em, spec)
-    _emit_binomial(em, spec.k, root_lit, spec.closure)
+    _bind_implicit(em, spec)
+    implicit = frozenset(node for node, _ in spec.implicit_nodes)
+    _emit_binomial(em, spec.k, root_lit, spec.closure, implicit=implicit)
     metadata = {
         "family": "binomial",
         "k": str(spec.k),
@@ -285,8 +298,6 @@ def build_binomial_tree(spec: TreeSpec) -> CnfFormula:
         )
     for red in spec.redundancy:
         _add_redundancy(em, spec.k, root_lit, red)
-    for node, via in spec.implicit_nodes:
-        _make_implicit(em, spec.k, root_lit, node, via)
     tags = {
         "redundancy": [f"{r.node[0]}.{r.node[1]}:{r.count}:{r.seed}" for r in spec.redundancy],
         "implicit": [f"{level}.{row}:{via}" for (level, row), via in spec.implicit_nodes],
@@ -297,7 +308,8 @@ def build_binomial_tree(spec: TreeSpec) -> CnfFormula:
 def _apply_substitutions(em: _Emitter, spec: TreeSpec) -> None:
     seen: set[SlotVar] = set()
     for slot, replacement in spec.substitutions:
-        if not (2 <= slot.boundary <= spec.k + 1 and 1 <= slot.row <= slot.boundary):
+        in_tree = 2 <= slot.boundary <= spec.k + 1 and 1 <= slot.row <= slot.boundary
+        if slot.tree != 0 or not in_tree:
             raise ValueError(f"substitution of a nonexistent slot {slot}")
         if slot in seen:
             raise ValueError(f"slot {slot} substituted twice")
@@ -433,41 +445,27 @@ def _add_redundancy(em: _Emitter, k: int, root_lit: int, red: RedundancySpec) ->
     )
 
 
-def _make_implicit(
-    em: _Emitter, k: int, root_lit: int, node: tuple[int, int], via: SlotVar
-) -> None:
-    """Drop a node's two switching clauses and alias a descendant boundary
-    slot to the node's left pair variable.
+def _bind_implicit(em: _Emitter, spec: TreeSpec) -> None:
+    """Make each listed node implicit: its two switching clauses are not
+    emitted, and a descendant boundary slot `via` is bound to the name of
+    the node's left slot, so `via`'s occurrences read as that variable.
 
     The dropped pair resolvent (~entry | left) then reappears through the
     descendant triples: resolution walks from the node's right slot down
-    to `via`, whose occurrences now read as the left variable.  Aliasing
-    the immediate right slot degenerates to the explicit triple."""
-    cone = _cone_slots(node, k)
-    level, row = node
-    if via not in cone:
-        raise ValueError(f"{via} is not a descendant boundary slot of node {node}")
-    if via == SlotVar(level + 1, row):
-        raise ValueError("cannot alias the node's left slot to itself")
-    if via in em.sub:
-        raise ValueError(f"{via} was already substituted or aliased away")
-
-    entry = root_lit if level == 1 else em.lit(SlotVar(level, row), negated=True)
-    left = em.lit(SlotVar(level + 1, row))
-    right = em.lit(SlotVar(level + 1, row + 1))
-    switching = {make_clause([entry, left, -right]), make_clause([entry, -left, right])}
-    if not switching <= set(em.clauses):
-        raise ValueError(f"switching clauses of node {node} are not present")
-
-    via_id = em.lit(via)
-    swap = {via_id: left, -via_id: -left}
-    rewritten = []
-    for clause in em.clauses:
-        if clause in switching:
-            continue
-        remapped = make_clause([swap.get(l, l) for l in clause.lits])
-        if isinstance(remapped, Tautology):
-            raise ValueError(f"aliasing {via} makes clause {clause} tautologous")
-        rewritten.append(remapped)
-    em.clauses = rewritten
-    em.bind(via, left)
+    to `via`.  Aliasing the immediate right slot degenerates to the
+    explicit triple."""
+    seen: set[tuple[int, int]] = set()
+    for node, via in spec.implicit_nodes:
+        cone = _cone_slots(node, spec.k)
+        level, row = node
+        if node in seen:
+            raise ValueError(f"node {node} made implicit twice")
+        if via not in cone:
+            raise ValueError(f"{via} is not a descendant boundary slot of node {node}")
+        if via == SlotVar(level + 1, row):
+            raise ValueError("cannot alias the node's left slot to itself")
+        aliased = isinstance(spec.closure, Alias) and via == SlotVar(spec.k + 1, spec.closure.row)
+        if via in em.sub or aliased:
+            raise ValueError(f"{via} was already substituted or aliased away")
+        seen.add(node)
+        em.bind(via, SlotVar(level + 1, row))

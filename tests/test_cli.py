@@ -70,6 +70,14 @@ def test_generate_binomial_options_reach_the_recipe(capsys):
     assert "c meta implicit 2.1:s5.2" in out
 
 
+def test_generate_rejects_a_substitution_on_another_trees_slot(capsys):
+    code, out, err = run_cli(
+        capsys, "generate", "--family", "binomial", "--k", "3", "--sub", "t1.s4.2=z0"
+    )
+    assert code == 2 and out == ""
+    assert err == "error: substitution of a nonexistent slot t1.s4.2\n"
+
+
 def test_generate_requires_depth(capsys):
     code, _, err = run_cli(capsys, "generate", "--family", "unit-chain")
     assert code == 2
