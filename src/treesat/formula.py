@@ -265,11 +265,11 @@ class CnfFormula:
             if clause.lits in seen:
                 raise ValueError(f"duplicate clause {clause}")
             seen.add(clause.lits)
-            for var in clause.variables():
-                if var > self.num_vars:
-                    raise ValueError(
-                        f"variable {var} above declared count {self.num_vars}"
-                    )
+            # A canonical clause ends with its highest variable.
+            if clause.lits and abs(clause.lits[-1]) > self.num_vars:
+                raise ValueError(
+                    f"variable {abs(clause.lits[-1])} above declared count {self.num_vars}"
+                )
 
     @property
     def num_clauses(self) -> int:
