@@ -244,7 +244,7 @@ def cmd_saturate(args: argparse.Namespace) -> int:
     print(f"original {result.n_original} derived {len(result.derived)} steps {c.steps}")
     print(
         f"tautologies {c.tautologies} duplicates {c.duplicates} over-width {c.over_width} "
-        f"subsumed {c.subsumed}"
+        f"subsumed {c.subsumed} retired {c.retired}"
     )
     if args.trace is not None:
         _write_output(args.trace, export_trace(result))

@@ -2,24 +2,29 @@
 
 Saturation is a given-clause loop with width-first selection.  The next
 given clause is the narrowest unprocessed clause, the lowest id breaking
-ties; it is resolved against every already-processed clause in ascending
-id order, on every variable the two share with opposite signs in
-ascending order, and then joins the processed set.  So each unordered
-pair is tried exactly once, when the later-processed clause is given,
+ties.  If a proper subset of it is stored by then, it is skipped and
+counted as `retired`: it is never resolved and never becomes a partner.
+Otherwise it is resolved against every already-processed clause in
+ascending id order, on every variable the two share with opposite signs
+in ascending order, and then joins the processed set.  So each unordered
+pair is tried at most once, when the later-processed clause is given,
 and runs are deterministic.  Clause ids are assigned in discovery order
 (original clauses first), and every trace step names the older parent as
 `left`.  Resolvents that are tautologies, too wide, already present, or
 subsumed (a proper subset of their literals is stored: forward
 subsumption, as in McCune's OTTER 3.0 Reference Manual, 1994) are
 counted and dropped; the others join the store, the trace and the
-unprocessed set.  Stored clauses are never removed (no backward
-subsumption).  The first recorded derivation of a clause is the one its
-decision chain reports.  A run ends at the first stored clause that
-subsumes its goal (`Budget`).  Without a width bound, a saturated store
-holds a subset of every clause the formula entails, so a unit missing
-from it is not entailed: the open depth-3 binomial tree saturates after
-1,025 steps without its root unit, where it used to run out of the sweep
-budget.
+unprocessed set.  Skipping a subsumed given is the lazy form of backward
+subsumption (the same manual): the store stays append-only, so ids and
+traces keep their meaning, and deleting subsumed clauses keeps resolution
+refutation-complete (Bachmair & Ganzinger, "Resolution Theorem Proving",
+Handbook of Automated Reasoning, 2001).  The first recorded derivation of
+a clause is the one its decision chain reports.  A run ends at the first
+stored clause that subsumes its goal (`Budget`).  Without a width bound,
+a saturated store holds a subset of every clause the formula entails, so
+a unit missing from it is not entailed: the open depth-3 binomial tree
+saturates after 197 steps without its root unit, where it used to run
+out of the sweep budget.
 
 The loop encodes each stored clause once as one int mask: with
 n = num_vars + 1, bit v stands for +v and bit n+v for -v.  A pair's clash
@@ -30,10 +35,10 @@ more clashing variables every resolvent is a tautology (Robinson, JACM
 the resolvent is the union of the two masks less the clashing pair.  The
 store's dict is keyed by mask, and the canonical literal tuple is built
 only for resolvents that are stored; `Clause` objects only when a result
-is returned.  A novel resolvent of width w is tested for subsumption by
-walking its 2^w - 2 proper non-empty sub-masks through that dict, or,
-when that is more lookups than the store has clauses, by scanning the
-stored masks.  `replay_trace` runs every step through `resolve` on
+is returned.  A novel resolvent or a given clause of width w is tested
+for subsumption by walking its 2^w - 2 proper non-empty sub-masks
+through that dict, or, when that is more lookups than the store has
+clauses, by scanning the stored masks.  `replay_trace` runs every step through `resolve` on
 literal tuples, so a replay checks a trace by a second, independent rule.
 """
 
@@ -102,6 +107,7 @@ class SaturationCounters:
     duplicates: int = 0
     over_width: int = 0
     subsumed: int = 0
+    retired: int = 0
 
 
 @dataclass(frozen=True)
@@ -175,10 +181,11 @@ def _lits_of(mask: int, n: int) -> tuple[int, ...]:
 
 
 def _subsumed(mask: int, width: int, ids: dict[int, int], masks: list[int]) -> bool:
-    """Whether a proper non-empty subset of the novel clause `mask` is
-    stored.  A narrow clause walks its 2^width - 2 sub-masks through the
-    store's dict; a wider one scans the stored masks, so the test never
-    costs more than one pass over the store."""
+    """Whether a proper non-empty subset of the clause `mask` is stored;
+    the clause itself may be stored (a given clause is).  A narrow clause
+    walks its 2^width - 2 proper sub-masks through the store's dict; a
+    wider one scans the stored masks, passing over its own, so the test
+    never costs more than one pass over the store."""
     if 1 << width <= len(ids):
         sub = (mask - 1) & mask
         while sub:
@@ -186,7 +193,7 @@ def _subsumed(mask: int, width: int, ids: dict[int, int], masks: list[int]) -> b
                 return True
             sub = (sub - 1) & mask
         return False
-    return any(stored & mask == stored for stored in masks)
+    return any(stored & mask == stored != mask for stored in masks)
 
 
 def saturate(formula: CnfFormula, budget: Budget | None = None) -> SaturationResult:
@@ -194,7 +201,8 @@ def saturate(formula: CnfFormula, budget: Budget | None = None) -> SaturationRes
     (`Budget`) or to budget exhaustion, taking the narrowest unprocessed
     clause (lowest id on ties) as the next given clause and resolving it
     against every processed clause.  A resolvent that a stored clause
-    subsumes is dropped and counted as `subsumed`."""
+    subsumes is dropped and counted as `subsumed`; a given clause that a
+    stored clause subsumes is skipped and counted as `retired`."""
     budget = budget or Budget()
     max_width = budget.max_width if budget.max_width is not None else formula.num_vars
     max_steps = budget.max_steps
@@ -205,7 +213,7 @@ def saturate(formula: CnfFormula, budget: Budget | None = None) -> SaturationRes
     # is the empty clause.
     goal_lits = budget.goal.lits if budget.goal is not None else ()
     goal_mask = _mask_of(tuple(lit for lit in goal_lits if abs(lit) < n), n)
-    steps = tautologies = duplicates = over_width = subsumed = 0
+    steps = tautologies = duplicates = over_width = subsumed = retired = 0
     stopped_by = None
 
     store: list[tuple[int, ...]] = [c.lits for c in formula.clauses]
@@ -232,6 +240,10 @@ def saturate(formula: CnfFormula, budget: Budget | None = None) -> SaturationRes
         _, given = heapq.heappop(unprocessed)
         lits_g = store[given]
         mask_g = masks[given]
+        # A given that a stored clause subsumes never joins the partners.
+        if _subsumed(mask_g, len(lits_g), ids, masks):
+            retired += 1
+            continue
         # The given clause with every literal negated: its overlap with a
         # partner is the partner's clashing literals.
         swapped = mask_g >> n | (mask_g & low_half) << n
@@ -286,7 +298,7 @@ def saturate(formula: CnfFormula, budget: Budget | None = None) -> SaturationRes
             occ.setdefault(lit, []).append(given)
 
     counters = SaturationCounters(
-        steps, len(trace), tautologies, duplicates, over_width, subsumed
+        steps, len(trace), tautologies, duplicates, over_width, subsumed, retired
     )
     clauses = formula.clauses + tuple(Clause._unchecked(lits) for lits in store[n_original:])
     return SaturationResult(status, clauses, n_original, tuple(trace), counters, stopped_by)

@@ -177,7 +177,7 @@ def test_saturate_reports_match_the_engine(capsys):
         "status saturated",
         f"original 3 derived {len(result.derived)} steps {c.steps}",
         f"tautologies {c.tautologies} duplicates {c.duplicates} over-width {c.over_width} "
-        f"subsumed {c.subsumed}",
+        f"subsumed {c.subsumed} retired {c.retired}",
     ]
 
 

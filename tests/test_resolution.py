@@ -17,7 +17,7 @@ from treesat.forge import (
 from treesat.formula import (
     Clause, EMPTY_CLAUSE, TAUTOLOGY, RootVar, build_formula, make_clause,
 )
-from treesat.oracle import entails
+from treesat.oracle import dpll_sat, entails
 from treesat.resolution import (
     Budget,
     ResolutionDominance,
@@ -83,7 +83,8 @@ def test_saturate_unit_chain_reaches_fixpoint():
     assert result.n_original == 3
     assert result.derived == (Clause((1, 3)), Clause((1, -2)), Clause((1,)))
     assert result.counters.added == 3
-    assert result.counters.duplicates == 1
+    assert result.counters.duplicates == 0
+    assert result.counters.retired == 1
 
 
 def test_saturation_counters_partition_the_steps():
@@ -106,32 +107,33 @@ def test_saturate_is_deterministic():
 
 
 # Status, counters, store size and a digest of the exported trace, pinned
-# from runs with forward subsumption; a faster kernel must reproduce them
+# from runs with forward subsumption and with subsumed given clauses
+# skipped; a faster kernel must reproduce them
 # exactly, step-budget trips, over-width and subsumed drops included.
 GOLDEN_RUNS = [
     (
         "matched-2",
         lambda: compose_two_trees(2, Closing.MATCHED),
         None,
-        ("empty-derived", 428, 127, 22, 109, 0, 170, 145, "44b0352057153fbe"),
+        ("empty-derived", 181, 97, 14, 34, 0, 36, 115, "b2e5f8876dc1a470"),
     ),
     (
         "matched-3",
         lambda: compose_two_trees(3, Closing.MATCHED),
         None,
-        ("empty-derived", 1353, 313, 36, 342, 0, 662, 349, "26eb2128dccf4a2c"),
+        ("empty-derived", 391, 203, 18, 43, 0, 127, 239, "069584f073421984"),
     ),
     (
         "matched-4",
         lambda: compose_two_trees(4, Closing.MATCHED),
         None,
-        ("empty-derived", 3816, 676, 60, 1117, 0, 1963, 736, "9abe2a068f5fa991"),
+        ("empty-derived", 768, 350, 28, 87, 0, 303, 410, "fc8d50b7d5cbc7df"),
     ),
     (
         "closed-tree-3",
         lambda: build_binomial_tree(TreeSpec(k=3)),
         Budget(20_000, 200_000),
-        ("saturated", 1180, 63, 206, 137, 0, 774, 81, "bf481a69ae2f3413"),
+        ("saturated", 199, 63, 14, 26, 0, 96, 81, "bf481a69ae2f3413"),
     ),
     (
         "crossed-4-width-3",
@@ -157,8 +159,10 @@ def test_saturate_matches_golden_runs(build, budget, expected):
 
 
 def test_forward_subsumption_drops_a_resolvent_and_a_goal_run_stops_at_its_subsumer():
+    # (1 4) is given before (1) is stored, so it stays a partner; (2 -4)
+    # is given after, and their resolvent (1 2) is dropped.
     formula = build_formula(
-        [Clause((1, -3)), Clause((3,)), Clause((1, 2, -4)), Clause((4,))]
+        [Clause((1, 4)), Clause((1, -3)), Clause((3,)), Clause((2, -4))]
     )
     plain = saturate(formula)
     assert plain.status is SaturationStatus.SATURATED
@@ -172,14 +176,15 @@ def test_forward_subsumption_drops_a_resolvent_and_a_goal_run_stops_at_its_subsu
 
 
 def test_a_wide_goal_run_ends_at_a_stored_subset_of_the_goal():
-    # (1) is stored first, so (1 2 -5) and (1 2 -4) are dropped and (1 2)
-    # itself never appears; (1) subsumes the goal and ends the run.
+    # (1) is stored first, so (1 2 -5) and the goal (1 2) itself are
+    # dropped when they are derived; (1) subsumes the goal and ends the run.
     formula = build_formula(
-        [Clause((1, -3)), Clause((3,)), Clause((1, 2, -4, -5)), Clause((4,)), Clause((5,))]
+        [Clause((1, 4)), Clause((1, -3)), Clause((3,)), Clause((2, -4, -5)), Clause((5,))]
     )
     plain = saturate(formula)
-    assert plain.derived == (Clause((1,)),)
+    assert plain.derived == (Clause((1,)), Clause((2, -4)))
     assert plain.counters.subsumed == 2
+    assert Clause((1, 2)) not in plain.store
     goal = saturate(formula, Budget(goal=Clause((1, 2))))
     assert goal.status is SaturationStatus.GOAL_DERIVED
     assert goal.store[-1] == Clause((1,))
@@ -193,12 +198,66 @@ def test_wide_resolvent_is_subsumed_by_a_narrow_clause():
     formula = build_formula([
         Clause((1, 2, 3, 4, 5, 6, 7, 8, 9)),
         Clause((-1, 2, 3, 4, 5, 6, 7, 8, 10)),
-        Clause((2, 3)),
+        Clause((9, 10)),
     ])
     result = saturate(formula)
     assert result.status is SaturationStatus.SATURATED
     assert not result.derived
     assert (result.counters.steps, result.counters.subsumed) == (1, 1)
+
+
+def test_a_narrow_given_clause_subsumed_through_the_sub_mask_walk_is_skipped():
+    # Four stored clauses, so the width-2 given (1 2) walks its two
+    # sub-masks and finds (1).
+    result = saturate(build_formula(
+        [Clause((1,)), Clause((1, 2)), Clause((-2, 3)), Clause((4, 5))]
+    ))
+    assert result.status is SaturationStatus.SATURATED
+    assert result.counters.retired == 1
+    # (1 2) never joins the partners, so (1 3) is never derived.
+    assert not result.derived
+    assert result.counters.steps == 0
+
+
+def test_a_wide_given_clause_subsumed_through_the_scan_is_skipped():
+    # 2^5 sub-masks against three stored clauses: the test scans the store.
+    result = saturate(build_formula(
+        [Clause((1, 2, 3, 4, 5)), Clause((2, 4)), Clause((-5, 6))]
+    ))
+    assert result.status is SaturationStatus.SATURATED
+    assert result.counters.retired == 1
+    assert not result.derived
+    assert result.counters.steps == 0
+
+
+def test_a_given_clause_does_not_subsume_itself():
+    # Each given is stored, so a scan that matched the clause itself would
+    # skip every clause.
+    alone = saturate(build_formula([Clause((1, 2))]))
+    assert alone.status is SaturationStatus.SATURATED
+    assert alone.counters.retired == 0
+    pair = saturate(build_formula([Clause((1, 2)), Clause((-1, 2))]))
+    assert pair.derived == (Clause((2,)),)
+    assert pair.counters.retired == 0
+
+
+def test_saturation_agrees_with_dpll_on_random_formulas():
+    rng = random.Random(31)
+    for _ in range(300):
+        n = rng.randint(2, 10)
+        clauses = [
+            make_clause([v if rng.random() < 0.5 else -v
+                         for v in rng.sample(range(1, n + 1), rng.randint(1, min(n, 4)))])
+            for _ in range(rng.randint(2, 3 * n))
+        ]
+        formula = build_formula([c for c in clauses if c is not TAUTOLOGY], n)
+        refuted = saturate(formula).status is SaturationStatus.EMPTY_DERIVED
+        assert refuted != dpll_sat(formula).is_sat, formula
+        for lit in (s * v for v in range(1, n + 1) for s in (1, -1)):
+            verdict = is_dominant_by_resolution(formula, lit)
+            # `entails` asks DPLL to refute the formula plus the unit {-lit}.
+            entailed = entails(formula, Clause((lit,)))
+            assert (verdict is ResolutionDominance.DOMINANT) == entailed, (formula, lit)
 
 
 def test_no_stored_resolvent_is_subsumed_by_an_older_clause():
@@ -392,7 +451,7 @@ def test_goal_never_derived_leaves_the_run_unchanged():
     unit = Clause((formula.atlas.id_of(RootVar()),))
     full = saturate(formula, budget)
     assert full.status is SaturationStatus.SATURATED
-    assert full.counters.steps == 1025
+    assert full.counters.steps == 197
     assert saturate(formula, dataclasses.replace(budget, goal=unit)) == full
 
 
