@@ -38,8 +38,9 @@ only for resolvents that are stored; `Clause` objects only when a result
 is returned.  A novel resolvent or a given clause of width w is tested
 for subsumption by walking its 2^w - 2 proper non-empty sub-masks
 through that dict, or, when that is more lookups than the store has
-clauses, by scanning the stored masks.  `replay_trace` runs every step through `resolve` on
-literal tuples, so a replay checks a trace by a second, independent rule.
+clauses, by scanning the stored masks.  `replay_trace` runs every step
+through `resolve` on literal tuples, so a replay checks a trace by a
+second, independent rule.
 """
 
 from __future__ import annotations

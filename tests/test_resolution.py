@@ -52,6 +52,18 @@ def _random_clause(rng: random.Random) -> Clause:
     return make_clause([v if rng.random() < 0.5 else -v for v in variables])
 
 
+def _random_formula(rng: random.Random, min_vars: int, max_vars: int, max_width: int):
+    """n in min_vars..max_vars variables, 2..3n clauses of widths
+    1..max_width, tautologies dropped."""
+    n = rng.randint(min_vars, max_vars)
+    clauses = [
+        make_clause([v if rng.random() < 0.5 else -v
+                     for v in rng.sample(range(1, n + 1), rng.randint(1, min(n, max_width)))])
+        for _ in range(rng.randint(2, 3 * n))
+    ]
+    return build_formula([c for c in clauses if c is not TAUTOLOGY], n)
+
+
 def test_resolve_agrees_with_the_literal_merge_reference():
     rng = random.Random(7)
     for _ in range(2000):
@@ -244,13 +256,8 @@ def test_a_given_clause_does_not_subsume_itself():
 def test_saturation_agrees_with_dpll_on_random_formulas():
     rng = random.Random(31)
     for _ in range(300):
-        n = rng.randint(2, 10)
-        clauses = [
-            make_clause([v if rng.random() < 0.5 else -v
-                         for v in rng.sample(range(1, n + 1), rng.randint(1, min(n, 4)))])
-            for _ in range(rng.randint(2, 3 * n))
-        ]
-        formula = build_formula([c for c in clauses if c is not TAUTOLOGY], n)
+        formula = _random_formula(rng, 2, 10, 4)
+        n = formula.num_vars
         refuted = saturate(formula).status is SaturationStatus.EMPTY_DERIVED
         assert refuted != dpll_sat(formula).is_sat, formula
         for lit in (s * v for v in range(1, n + 1) for s in (1, -1)):
@@ -263,13 +270,7 @@ def test_saturation_agrees_with_dpll_on_random_formulas():
 def test_no_stored_resolvent_is_subsumed_by_an_older_clause():
     rng = random.Random(11)
     for _ in range(200):
-        n = rng.randint(3, 12)
-        clauses = [
-            make_clause([v if rng.random() < 0.5 else -v
-                         for v in rng.sample(range(1, n + 1), rng.randint(1, min(n, 9)))])
-            for _ in range(rng.randint(2, 3 * n))
-        ]
-        formula = build_formula([c for c in clauses if c is not TAUTOLOGY], n)
+        formula = _random_formula(rng, 3, 12, 9)
         result = saturate(formula, Budget(max_steps=2_000))
         seen: list[frozenset[int]] = []
         for i, clause in enumerate(result.store):
@@ -459,16 +460,11 @@ def test_a_goal_run_ends_at_the_first_subsumer_in_the_run_without_goal():
     rng = random.Random(23)
     budget = Budget(max_steps=2_000)
     for _ in range(500):
-        n = rng.randint(2, 8)
-        clauses = [
-            make_clause([v if rng.random() < 0.5 else -v
-                         for v in rng.sample(range(1, n + 1), rng.randint(1, min(n, 4)))])
-            for _ in range(rng.randint(2, 3 * n))
-        ]
-        formula = build_formula([c for c in clauses if c is not TAUTOLOGY], n)
+        formula = _random_formula(rng, 2, 8, 4)
         # Goals may be wide and may name variables the formula lacks.
         goal = make_clause([v if rng.random() < 0.5 else -v
-                            for v in rng.sample(range(1, n + 3), rng.randint(1, 4))])
+                            for v in rng.sample(range(1, formula.num_vars + 3),
+                                                rng.randint(1, 4))])
         full = saturate(formula, budget)
         run = saturate(formula, dataclasses.replace(budget, goal=goal))
         first = next(
