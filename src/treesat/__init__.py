@@ -1,5 +1,10 @@
 """treesat: CNF families that hide a forced unit behind pair decisions,
-plus the resolution and search machinery to analyze them."""
+plus the resolution and search machinery to analyze them.
+
+The package root re-exports the four engine modules (formula, forge,
+resolution, oracle).  `treesat.counts`, `treesat.bench` and
+`treesat.verify` are imported by name, so `import treesat` does not pay
+for them."""
 
 from .formula import (
     Atlas,
@@ -36,16 +41,6 @@ from .forge import (
     compose_two_trees,
     parse_closure,
 )
-from .counts import (
-    PathReport,
-    binary_depth_for,
-    binary_var_count,
-    binomial_depth_for,
-    binomial_var_count,
-    candidate_combinations,
-    enumerate_paths,
-    leaf_path_counts,
-)
 from .oracle import (
     OracleVerdict,
     Verdict,
@@ -69,17 +64,5 @@ from .resolution import (
     resolve,
     saturate,
 )
-from .bench import (
-    BenchRecord,
-    PowerLawFit,
-    export_csv,
-    fit_power_law,
-    parse_csv,
-    run_one,
-    run_sweep,
-    summarize,
-    write_scatter_svg,
-)
-from .verify import CheckResult, check_names, format_report, run_checks
 
 __version__ = "0.1.0"

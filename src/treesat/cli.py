@@ -38,6 +38,7 @@ from .forge import (
     parse_closure,
 )
 from .formula import (
+    Clause,
     CnfFormula,
     DimacsError,
     SlotVar,
@@ -92,9 +93,11 @@ def _parse_implicit(text: str) -> tuple[tuple[int, int], SlotVar]:
 
 def _parse_redundancy(text: str) -> tuple[tuple[int, int], int]:
     node_text, _, count_text = text.partition(":")
-    if not count_text:
-        raise ValueError(f"expected redundancy as LEVEL.ROW:COUNT, got {text!r}")
-    return _parse_node(node_text), int(count_text)
+    try:
+        count = int(count_text)
+    except ValueError as exc:
+        raise ValueError(f"expected redundancy as LEVEL.ROW:COUNT, got {text!r}") from exc
+    return _parse_node(node_text), count
 
 
 def _family_formula(args: argparse.Namespace) -> CnfFormula:
@@ -234,7 +237,22 @@ def cmd_solve(args: argparse.Namespace) -> int:
     return 10 if verdict.is_sat else 20
 
 
+def _parse_chain(text: str) -> Clause:
+    try:
+        clause = make_clause([int(tok) for tok in text.split()])
+    except ValueError as exc:
+        raise ValueError(
+            f'expected --chain as nonzero integer literals, e.g. "1 -4", got {text!r}'
+        ) from exc
+    if isinstance(clause, Tautology):
+        raise ValueError(f"--chain clause {text!r} is tautologous")
+    return clause
+
+
 def cmd_saturate(args: argparse.Namespace) -> int:
+    clause = None if args.chain is None else _parse_chain(args.chain)
+    if clause is None and args.dot is not None:
+        raise ValueError("--dot needs --chain to pick a clause")
     formula = _input_formula(args)
     result = saturate(formula, _budget(args))
     c = result.counters
@@ -248,10 +266,7 @@ def cmd_saturate(args: argparse.Namespace) -> int:
     )
     if args.trace is not None:
         _write_output(args.trace, export_trace(result))
-    if args.chain is not None:
-        clause = make_clause([int(tok) for tok in args.chain.split()])
-        if isinstance(clause, Tautology):
-            raise ValueError(f"--chain clause {args.chain!r} is tautologous")
+    if clause is not None:
         cid = result.clause_id(clause)
         if cid is None:
             print(f"clause ({clause}) not in the saturated store")
@@ -261,8 +276,6 @@ def cmd_saturate(args: argparse.Namespace) -> int:
         print(f"chain for ({clause}): length {chain.length}, resolved {names or '-'}")
         if args.dot is not None:
             _write_output(args.dot, export_chain_dot(result, cid))
-    elif args.dot is not None:
-        raise ValueError("--dot needs --chain to pick a clause")
     return 0
 
 

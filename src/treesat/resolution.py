@@ -69,6 +69,12 @@ class Budget:
     max_width: int | None = None
     goal: Clause | None = None
 
+    def __post_init__(self) -> None:
+        for name in ("max_clauses", "max_steps", "max_width"):
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                raise ValueError(f"{name} must be non-negative, got {value}")
+
 
 class SaturationStatus(Enum):
     EMPTY_DERIVED = "empty-derived"

@@ -78,6 +78,14 @@ def test_generate_rejects_a_substitution_on_another_trees_slot(capsys):
     assert err == "error: substitution of a nonexistent slot t1.s4.2\n"
 
 
+def test_generate_rejects_a_non_integer_redundancy_count(capsys):
+    code, out, err = run_cli(
+        capsys, "generate", "--family", "binomial", "--k", "3", "--redundancy", "1.1:x"
+    )
+    assert code == 2 and out == ""
+    assert err == "error: expected redundancy as LEVEL.ROW:COUNT, got '1.1:x'\n"
+
+
 def test_generate_requires_depth(capsys):
     code, _, err = run_cli(capsys, "generate", "--family", "unit-chain")
     assert code == 2
@@ -207,14 +215,27 @@ def test_saturate_chain_miss_fails(capsys):
     )
     assert code == 1
     assert "not in the saturated store" in out
-    code, _, err = run_cli(
-        capsys, "saturate", "--family", "unit-chain", "--k", "3", "--chain", "1 -1"
-    )
-    assert code == 2 and "tautologous" in err
-    code, _, err = run_cli(
-        capsys, "saturate", "--family", "unit-chain", "--k", "3", "--dot", "x.dot"
-    )
-    assert code == 2 and "--dot needs --chain" in err
+    # Usage errors are caught before the search runs: no status line.
+    bad_chain = 'error: expected --chain as nonzero integer literals, e.g. "1 -4", got {!r}\n'
+    usage_errors = [
+        (["--chain", "1 -1"], "error: --chain clause '1 -1' is tautologous\n"),
+        (["--chain", "0"], bad_chain.format("0")),
+        (["--chain", "x"], bad_chain.format("x")),
+        (["--dot", "x.dot"], "error: --dot needs --chain to pick a clause\n"),
+    ]
+    for flags, message in usage_errors:
+        code, out, err = run_cli(capsys, "saturate", "--family", "unit-chain", "--k", "3", *flags)
+        assert (code, out, err) == (2, "", message), flags
+
+
+def test_saturate_rejects_a_negative_budget(capsys):
+    for flag in ("--max-steps", "--max-clauses"):
+        code, out, err = run_cli(
+            capsys, "saturate", "--family", "binomial", "--k", "3", flag, "-5"
+        )
+        assert code == 2 and out == ""
+        name = flag[2:].replace("-", "_")
+        assert err == f"error: {name} must be non-negative, got -5\n"
 
 
 def test_saturate_trace_export(capsys, tmp_path):

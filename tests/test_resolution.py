@@ -281,6 +281,13 @@ def test_no_stored_resolvent_is_subsumed_by_an_older_clause():
         assert tuple(replay_trace(formula, result.trace)) == result.store
 
 
+@pytest.mark.parametrize("field", ["max_clauses", "max_steps", "max_width"])
+def test_budget_rejects_a_negative_limit(field):
+    with pytest.raises(ValueError, match=f"^{field} must be non-negative, got -5$"):
+        Budget(**{field: -5})
+    assert getattr(Budget(**{field: 0}), field) == 0
+
+
 def test_step_budget_trips_inside_a_multi_clash_pair():
     # The two clauses clash on all three variables: three tautologies.
     formula = build_formula([Clause((1, 2, 3)), Clause((-1, -2, -3))])
