@@ -16,8 +16,6 @@ from .formula import (
     FreshVar,
     RootVar,
     SlotVar,
-    TAUTOLOGY,
-    Tautology,
     VarName,
     build_formula,
     make_clause,

@@ -3,12 +3,14 @@
 Runs saturation and DPLL across a depth range, records one row per
 (family, k, repetition), and fits log-log scaling exponents of work
 against instance size.  Fits are reported together with their residuals;
-nothing here asserts a growth rate.
+nothing here asserts a growth rate.  Reports come back as text (CSV,
+SVG, a summary); writing them to files is the command line's job.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import math
 import time
 from dataclasses import dataclass, fields
@@ -122,33 +124,36 @@ def run_sweep(
     return records
 
 
-def export_csv(records: Sequence[BenchRecord], path: str) -> None:
+def export_csv(records: Sequence[BenchRecord]) -> str:
+    """The records as CSV text, one row per record after a header row;
+    rows end in \r\n, the csv module's default."""
     if not records:
         raise ValueError("no records to export")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(COLUMNS)
-        for record in records:
-            writer.writerow([getattr(record, name) for name in COLUMNS])
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(COLUMNS)
+    for record in records:
+        writer.writerow([getattr(record, name) for name in COLUMNS])
+    return out.getvalue()
 
 
-def parse_csv(path: str) -> list[BenchRecord]:
+def parse_csv(text: str) -> list[BenchRecord]:
+    """Inverse of export_csv."""
+    reader = csv.DictReader(io.StringIO(text, newline=""))
+    if reader.fieldnames != list(COLUMNS):
+        raise ValueError(f"unexpected header {reader.fieldnames}")
     records = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != list(COLUMNS):
-            raise ValueError(f"{path}: unexpected header {reader.fieldnames}")
-        for row in reader:
-            values = {}
-            for name in COLUMNS:
-                raw = row[name]
-                if name in _STR_COLUMNS:
-                    values[name] = raw
-                elif name in _FLOAT_COLUMNS:
-                    values[name] = float(raw)
-                else:
-                    values[name] = int(raw)
-            records.append(BenchRecord(**values))
+    for row in reader:
+        values = {}
+        for name in COLUMNS:
+            raw = row[name]
+            if name in _STR_COLUMNS:
+                values[name] = raw
+            elif name in _FLOAT_COLUMNS:
+                values[name] = float(raw)
+            else:
+                values[name] = int(raw)
+        records.append(BenchRecord(**values))
     return records
 
 
@@ -237,9 +242,9 @@ def summarize(records: Sequence[BenchRecord]) -> str:
     return "\n".join(lines)
 
 
-def write_scatter_svg(records: Sequence[BenchRecord], path: str) -> None:
-    """Log-log scatter of per-run work against variable count: circles for
-    DPLL nodes, squares for derived clauses."""
+def scatter_svg(records: Sequence[BenchRecord]) -> str:
+    """SVG text of a log-log scatter of per-run work against variable
+    count: circles for DPLL nodes, squares for derived clauses."""
     if not records:
         raise ValueError("no records to plot")
     width, height, margin = 640, 480, 60
@@ -302,5 +307,4 @@ def write_scatter_svg(records: Sequence[BenchRecord], path: str) -> None:
         f'<text x="{width - margin - 140}" y="{margin + 22}" font-size="12">derived clauses</text>'
     )
     parts.append("</svg>")
-    with open(path, "w") as fh:
-        fh.write("\n".join(parts) + "\n")
+    return "\n".join(parts) + "\n"

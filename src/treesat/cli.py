@@ -10,16 +10,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
-from .bench import (
-    default_sweep_budget,
-    export_csv,
-    run_sweep,
-    summarize,
-    write_scatter_svg,
-)
+from .bench import default_sweep_budget, export_csv, run_sweep, scatter_svg, summarize
 from .counts import (
     binary_depth_for,
     binary_var_count,
@@ -42,7 +35,6 @@ from .formula import (
     CnfFormula,
     DimacsError,
     SlotVar,
-    Tautology,
     make_clause,
     parse_dimacs,
     parse_var_name,
@@ -100,32 +92,53 @@ def _parse_redundancy(text: str) -> tuple[tuple[int, int], int]:
     return _parse_node(node_text), count
 
 
+# The flags only one family reads, by that family.  Each defaults to
+# None, so a flag given to any other family is caught, not ignored.
+_OWN_FLAGS = {
+    "binomial": ("closure", "sub", "implicit", "redundancy", "negate_root", "seed"),
+    "multi-branching": ("k_sub",),
+}
+
+
+def _flag(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
+
+
 def _family_formula(args: argparse.Namespace) -> CnfFormula:
     """Build from the family registry; the two families with flags of
     their own (binomial and multi-branching) read them here."""
     k = args.k
     if k is None:
         raise ValueError("--k is required when generating a family")
+    for family, dests in _OWN_FLAGS.items():
+        given = [d for d in dests if getattr(args, d) is not None]
+        if given and args.family != family:
+            raise ValueError(f"{_flag(given[0])} applies only to --family {family}")
     if args.family == "multi-branching":
-        return build_multi_branching(k, args.k_sub)
+        return build_multi_branching(k, 1 if args.k_sub is None else args.k_sub)
     if args.family != "binomial":
         return FAMILIES[args.family](k)
+    if args.seed is not None and not args.redundancy:
+        raise ValueError("--seed applies only with --redundancy")
     spec = TreeSpec(
         k=k,
-        closure=parse_closure(args.closure),
-        substitutions=tuple(_parse_sub(s) for s in args.sub),
-        implicit_nodes=tuple(_parse_implicit(s) for s in args.implicit),
+        closure=parse_closure("alias:1" if args.closure is None else args.closure),
+        substitutions=tuple(_parse_sub(s) for s in args.sub or ()),
+        implicit_nodes=tuple(_parse_implicit(s) for s in args.implicit or ()),
         redundancy=tuple(
-            RedundancySpec(node, count, args.seed)
-            for node, count in (_parse_redundancy(s) for s in args.redundancy)
+            RedundancySpec(node, count, args.seed or 0)
+            for node, count in (_parse_redundancy(s) for s in args.redundancy or ())
         ),
-        root_negated=args.negate_root,
+        root_negated=bool(args.negate_root),
     )
     return build_binomial_tree(spec)
 
 
 def _input_formula(args: argparse.Namespace) -> CnfFormula:
     if args.input is not None:
+        for dest in ("family", "k", *(d for dests in _OWN_FLAGS.values() for d in dests)):
+            if getattr(args, dest) is not None:
+                raise ValueError(f"{_flag(dest)} builds a family and cannot be used with --in")
         with open(args.input) as fh:
             return parse_dimacs(fh.read())
     if args.family is None:
@@ -133,27 +146,26 @@ def _input_formula(args: argparse.Namespace) -> CnfFormula:
     return _family_formula(args)
 
 
-def _write_atomically(path: str, write: Callable[[str], object]) -> None:
-    """Have `write` fill a new file beside `path`, then rename it over
-    `path`, so a failure never leaves a partial file.  The temporary name
-    is random and made by open() in exclusive mode, so no existing file
-    is reused and the result gets the mode a plain open() gives."""
+def _write_output(path: str | None, text: str) -> None:
+    """Write `text` to stdout, or to `path` through a new file beside it
+    that is then renamed over `path`, so a failure never leaves a partial
+    file.  This is the one place the package writes a file.  The
+    temporary name is random and made by open() in exclusive mode, so no
+    existing file is reused and the result gets the mode a plain open()
+    gives.  newline="" writes the text's line endings as they are."""
+    if path is None:
+        sys.stdout.write(text)
+        return
     directory, name = os.path.split(os.path.abspath(path))
     tmp = os.path.join(directory, f".treesat-{os.urandom(6).hex()}-{name}")
-    open(tmp, "x").close()
+    fh = open(tmp, "x", newline="")
     try:
-        write(tmp)
+        with fh:
+            fh.write(text)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
         raise
-
-
-def _write_output(path: str | None, text: str) -> None:
-    if path is None:
-        sys.stdout.write(text)
-        return
-    _write_atomically(path, lambda tmp: Path(tmp).write_text(text))
 
 
 def _add_family_flags(parser: argparse.ArgumentParser, required: bool) -> None:
@@ -166,33 +178,31 @@ def _add_family_flags(parser: argparse.ArgumentParser, required: bool) -> None:
     parser.add_argument("--k", type=int, help="tree or chain depth")
     parser.add_argument(
         "--closure",
-        default="alias:1",
         help="binomial closure: alias:ROW, clause:ROW or none (default alias:1)",
     )
     parser.add_argument(
         "--sub",
         action="append",
-        default=[],
         metavar="SLOT=LIT",
         help="substitute a boundary slot, e.g. s4.2=z0 or s4.4=~z0 (repeatable)",
     )
     parser.add_argument(
         "--implicit",
         action="append",
-        default=[],
         metavar="LEVEL.ROW=SLOT",
         help="make a node's switching clauses implicit via a descendant slot (repeatable)",
     )
     parser.add_argument(
         "--redundancy",
         action="append",
-        default=[],
         metavar="LEVEL.ROW:COUNT",
         help="append seeded redundancy clauses for a node (repeatable)",
     )
-    parser.add_argument("--k-sub", type=int, default=1, help="subtree depth for multi-branching")
-    parser.add_argument("--negate-root", action="store_true", help="enter the tree by the negated root")
-    parser.add_argument("--seed", type=int, default=0, help="seed for seeded constructions")
+    parser.add_argument("--k-sub", type=int, help="subtree depth for multi-branching (default 1)")
+    parser.add_argument(
+        "--negate-root", action="store_true", default=None, help="enter the tree by the negated root"
+    )
+    parser.add_argument("--seed", type=int, help="seed for seeded constructions (default 0)")
 
 
 def _add_budget_flags(parser: argparse.ArgumentParser, defaults: Budget) -> None:
@@ -244,7 +254,7 @@ def _parse_chain(text: str) -> Clause:
         raise ValueError(
             f'expected --chain as nonzero integer literals, e.g. "1 -4", got {text!r}'
         ) from exc
-    if isinstance(clause, Tautology):
+    if clause is None:
         raise ValueError(f"--chain clause {text!r} is tautologous")
     return clause
 
@@ -287,7 +297,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         if args.k is None:
             raise ValueError("--k is required")
     if args.paths:
-        print(leaf_path_counts(args.k).to_text())
+        rows = leaf_path_counts(args.k)
+        print(" ".join(map(str, rows)), "total", sum(rows))
         return 0
     if args.vars:
         count = binary_var_count(args.k) if args.tree == "binary" else binomial_var_count(args.k)
@@ -321,9 +332,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
         repetitions=args.repetitions,
     )
     if args.csv is not None:
-        _write_atomically(args.csv, lambda tmp: export_csv(records, tmp))
+        _write_output(args.csv, export_csv(records))
     if args.svg is not None:
-        _write_atomically(args.svg, lambda tmp: write_scatter_svg(records, tmp))
+        _write_output(args.svg, scatter_svg(records))
     print(summarize(records))
     return 0
 

@@ -9,7 +9,6 @@ the binomial closed forms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 ENUMERATION_DEPTH_CAP = 24
 
@@ -54,30 +53,15 @@ def candidate_combinations(m: int, k: int) -> int:
     return m**k
 
 
-@dataclass(frozen=True)
-class PathReport:
-    """Root-to-boundary path tally for a depth-k pair-sharing tree.
-
-    `rows[i]` counts paths arriving at boundary row i+1.
-    """
-
-    k: int
-    rows: tuple[int, ...]
-    total: int
-
-    def to_text(self) -> str:
-        return " ".join(str(r) for r in self.rows) + f" total {self.total}"
-
-
-def leaf_path_counts(k: int) -> PathReport:
-    """Closed-form path counts per boundary row: C(k, row-1), total 2**k."""
+def leaf_path_counts(k: int) -> tuple[int, ...]:
+    """Closed-form path counts per boundary row: entry i is C(k, i), the
+    paths arriving at row i + 1; together they total 2**k."""
     if k < 0:
         raise ValueError("depth must be non-negative")
-    rows = tuple(math.comb(k, i) for i in range(k + 1))
-    return PathReport(k, rows, 2**k)
+    return tuple(math.comb(k, i) for i in range(k + 1))
 
 
-def enumerate_paths(k: int) -> PathReport:
+def enumerate_paths(k: int) -> tuple[int, ...]:
     """Walk every left/right selection sequence through the depth-k tree.
 
     A sequence is a k-bit word; starting at row 1, each right selection
@@ -95,4 +79,4 @@ def enumerate_paths(k: int) -> PathReport:
     rows = [0] * (k + 1)
     for sequence in range(1 << k):
         rows[sequence.bit_count()] += 1
-    return PathReport(k, tuple(rows), 1 << k)
+    return tuple(rows)

@@ -28,7 +28,6 @@ from .formula import (
     FreshVar,
     RootVar,
     SlotVar,
-    Tautology,
     VarName,
     build_formula,
     make_clause,
@@ -128,7 +127,7 @@ class _Emitter:
 
     def add(self, *lits: int) -> None:
         clause = make_clause(lits)
-        if isinstance(clause, Tautology):
+        if clause is None:
             raise ValueError(
                 "a substitution or implicit node makes a generated clause tautologous: "
                 + " ".join(str(l) for l in lits)
@@ -154,9 +153,9 @@ def _emit_binomial(
 ) -> None:
     """Emit a depth-k pair-sharing tree entered through `root_lit`; an
     implicit node keeps only the first clause of its triple."""
+    if closure is not None and not 1 <= closure.row <= k + 1:
+        raise ValueError(f"closure row {closure.row} outside boundary 1..{k + 1}")
     if isinstance(closure, Alias):
-        if not 1 <= closure.row <= k + 1:
-            raise ValueError(f"closure row {closure.row} outside boundary 1..{k + 1}")
         if k == 1:
             # At k = 1 the alias would write the root into its own triple.
             raise ValueError("an alias closure needs depth at least 2 (use clause:ROW or none)")
@@ -171,8 +170,6 @@ def _emit_binomial(
             else:
                 _emit_triple(em, entry, a, b)
     if isinstance(closure, ClosureClause):
-        if not 1 <= closure.row <= k + 1:
-            raise ValueError(f"closure row {closure.row} outside boundary 1..{k + 1}")
         em.add(em.lit(SlotVar(k + 1, closure.row, tree), negated=True), root_lit)
 
 
@@ -433,7 +430,7 @@ def _add_redundancy(em: _Emitter, k: int, root_lit: int, red: RedundancySpec) ->
     fresh = []
     for u, v in candidates:
         clause = make_clause([entry, u, v])
-        if isinstance(clause, Clause) and clause.width == 3 and clause.lits not in taken:
+        if clause is not None and clause.width == 3 and clause.lits not in taken:
             taken.add(clause.lits)
             fresh.append(clause)
             if len(fresh) == red.count:

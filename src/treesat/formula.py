@@ -27,27 +27,6 @@ class DimacsError(ValueError):
 # clauses
 
 
-class Tautology:
-    """Marker for a resolvent or clause containing a variable both ways.
-
-    Tautologies are never stored in formulas or clause stores; operations
-    that may produce one return this marker instead of a Clause.
-    """
-
-    _instance: Tautology | None = None
-
-    def __new__(cls) -> Tautology:
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "TAUTOLOGY"
-
-
-TAUTOLOGY = Tautology()
-
-
 @dataclass(frozen=True)
 class Clause:
     """Canonical disjunction of literals.  Width 0 is the empty clause."""
@@ -91,15 +70,15 @@ class Clause:
 EMPTY_CLAUSE = Clause(())
 
 
-def make_clause(lits) -> Clause | Tautology:
-    """Build a canonical clause from literals, or TAUTOLOGY if a variable
-    occurs in both polarities.  Duplicate literals collapse."""
+def make_clause(lits) -> Clause | None:
+    """Build a canonical clause from literals, or None (a tautology) if a
+    variable occurs in both polarities.  Duplicate literals collapse."""
     out: set[int] = set()
     for lit in lits:
         if lit == 0:
             raise ValueError("0 is the clause terminator, not a literal")
         if -lit in out:
-            return TAUTOLOGY
+            return None
         out.add(lit)
     return Clause._unchecked(tuple(sorted(out, key=abs)))
 
@@ -275,11 +254,6 @@ class CnfFormula:
     def num_clauses(self) -> int:
         return len(self.clauses)
 
-    def lit(self, name: VarName, negated: bool = False) -> int:
-        """Signed literal for a named variable."""
-        vid = self.atlas.id_of(name)
-        return -vid if negated else vid
-
     def with_extra(self, extra: list[Clause]) -> CnfFormula:
         """Copy with additional clauses appended (duplicates dropped)."""
         return build_formula(self.clauses + tuple(extra), self.num_vars, self.atlas, self.metadata)
@@ -288,12 +262,13 @@ class CnfFormula:
 def build_formula(clauses, num_vars=None, atlas=None, metadata=None) -> CnfFormula:
     """Assemble a formula, deduplicating while preserving first occurrence.
 
-    Tautology markers in `clauses` are rejected: they are never stored.
+    A None in `clauses` (a tautology) is rejected: tautologies are never
+    stored.
     """
     out: list[Clause] = []
     seen: set[tuple[int, ...]] = set()
     for clause in clauses:
-        if isinstance(clause, Tautology):
+        if clause is None:
             raise ValueError("tautologies cannot be stored in a formula")
         if clause.lits not in seen:
             seen.add(clause.lits)
@@ -385,7 +360,7 @@ def parse_dimacs(text: str) -> CnfFormula:
                 raise DimacsError(f"line {lineno}: bad literal {token!r}") from None
             if lit == 0:
                 clause = make_clause(pending)
-                if isinstance(clause, Tautology):
+                if clause is None:
                     raise DimacsError(
                         f"line {lineno}: tautologous clause {' '.join(map(str, pending))}"
                     )

@@ -49,7 +49,7 @@ import heapq
 from dataclasses import dataclass, replace
 from enum import Enum
 
-from .formula import Clause, CnfFormula, Tautology, make_clause
+from .formula import Clause, CnfFormula, make_clause
 
 DEFAULT_MAX_CLAUSES = 1_000_000
 DEFAULT_MAX_STEPS = 10_000_000
@@ -158,9 +158,10 @@ class DecisionChain:
         return len(self.connected) == 1
 
 
-def resolve(c1: Clause, c2: Clause, var: int) -> Clause | Tautology:
+def resolve(c1: Clause, c2: Clause, var: int) -> Clause | None:
     """Resolve two clauses on `var`, which must occur with opposite signs
-    in the parents.  Returns the canonical resolvent or TAUTOLOGY."""
+    in the parents.  Returns the canonical resolvent, or None if it is a
+    tautology."""
     if not (var in c1.lits and -var in c2.lits or -var in c1.lits and var in c2.lits):
         raise ValueError(f"parents are not complementary on variable {var}")
     return make_clause(lit for lit in c1.lits + c2.lits if lit != var and lit != -var)
@@ -371,7 +372,7 @@ def replay_trace(formula: CnfFormula, trace: tuple[ResolutionStep, ...]) -> list
             resolvent = resolve(store[step.left], store[step.right], step.var)
         except ValueError as exc:
             raise ValueError(f"step {step}: {exc}") from None
-        if isinstance(resolvent, Tautology):
+        if resolvent is None:
             raise ValueError(f"step {step} resolves to a tautology on replay")
         if step.result != len(store):
             raise ValueError(f"step {step} out of order on replay")

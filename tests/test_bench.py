@@ -13,8 +13,8 @@ from treesat.bench import (
     parse_csv,
     run_one,
     run_sweep,
+    scatter_svg,
     summarize,
-    write_scatter_svg,
 )
 
 
@@ -88,23 +88,20 @@ def test_run_sweep_validation():
         run_sweep(["unit-chain", "what"], [2])
 
 
-def test_csv_round_trip(tmp_path):
+def test_csv_round_trip():
     records = run_sweep(["unit-chain", "pair-chain"], range(2, 5))
-    path = tmp_path / "sweep.csv"
-    export_csv(records, str(path))
-    lines = path.read_text().splitlines()
+    text = export_csv(records)
+    lines = text.splitlines()
     assert lines[0] == ",".join(COLUMNS)
     assert len(lines) == len(records) + 1
-    assert parse_csv(str(path)) == records
+    assert parse_csv(text) == records
 
 
-def test_csv_rejects_foreign_headers(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("a,b,c\n1,2,3\n")
+def test_csv_rejects_foreign_headers():
     with pytest.raises(ValueError, match="unexpected header"):
-        parse_csv(str(path))
+        parse_csv("a,b,c\n1,2,3\n")
     with pytest.raises(ValueError, match="no records"):
-        export_csv([], str(tmp_path / "empty.csv"))
+        export_csv([])
 
 
 def test_fit_power_law_recovers_exact_exponent():
@@ -158,23 +155,21 @@ def test_summarize_handles_unfittable_columns():
     assert "not enough positive points" in text
 
 
-def test_scatter_svg(tmp_path):
+def test_scatter_svg():
     records = run_sweep(["binomial"], range(2, 6))
-    path = tmp_path / "plot.svg"
-    write_scatter_svg(records, str(path))
-    text = path.read_text()
+    text = scatter_svg(records)
     assert text.startswith("<svg ")
     assert text.rstrip().endswith("</svg>")
     assert "circle" in text and "darkorange" in text
     assert "dpll nodes" in text and "derived clauses" in text
 
 
-def test_scatter_svg_rejects_empty_input(tmp_path):
+def test_scatter_svg_rejects_empty_input():
     with pytest.raises(ValueError, match="no records"):
-        write_scatter_svg([], str(tmp_path / "x.svg"))
+        scatter_svg([])
     dead = [make_record(variables=0, dpll_nodes=0, derived_clauses=0)]
     with pytest.raises(ValueError, match="no positive data"):
-        write_scatter_svg(dead, str(tmp_path / "y.svg"))
+        scatter_svg(dead)
 
 
 def test_timing_fields_can_be_normalized():

@@ -5,6 +5,7 @@ import stat
 
 import pytest
 
+from treesat.bench import run_sweep, scatter_svg
 from treesat.cli import _build_parser, main
 from treesat.forge import (
     FAMILIES,
@@ -339,8 +340,10 @@ def test_bench_writes_csv_and_svg(capsys, tmp_path):
     assert code == 0
     assert "family unit-chain: k 2..4, 3 runs" in out
     assert "derived clauses ~" in out
-    assert len(csv_path.read_text().splitlines()) == 4
-    assert svg_path.read_text().startswith("<svg ")
+    raw = csv_path.read_bytes()
+    assert raw.endswith(b"\r\n") and raw.count(b"\n") == raw.count(b"\r\n") == 4
+    sweep = run_sweep(["unit-chain"], range(2, 5), repetitions=1)
+    assert svg_path.read_bytes() == scatter_svg(sweep).encode()
     leftovers = [p for p in os.listdir(tmp_path) if p.startswith(".treesat-")]
     assert leftovers == []
     assert file_mode(csv_path) == file_mode(svg_path) == 0o644
@@ -364,6 +367,37 @@ def test_every_subcommand_draws_families_from_the_registry(capsys):
         "--repetitions", "1",
     )
     assert code == 0 and "family multi-branching: k 2..3, 2 runs" in out
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["generate", "--family", "unit-chain", "--k", "3",
+             "--closure", "bogus", "--implicit", "9.9=s1.1"],
+            "--closure applies only to --family binomial",
+        ),
+        (["generate", "--family", "pair-chain", "--k", "3", "--seed", "4"],
+         "--seed applies only to --family binomial"),
+        (["generate", "--family", "binomial", "--k", "3", "--seed", "4"],
+         "--seed applies only with --redundancy"),
+        (["generate", "--family", "multi-branching", "--k", "3", "--negate-root"],
+         "--negate-root applies only to --family binomial"),
+        (["generate", "--family", "binomial", "--k", "3", "--k-sub", "2"],
+         "--k-sub applies only to --family multi-branching"),
+        (["solve", "--in", "{cnf}", "--family", "binomial"],
+         "--family builds a family and cannot be used with --in"),
+        (["saturate", "--in", "{cnf}", "--k", "3"],
+         "--k builds a family and cannot be used with --in"),
+        (["saturate", "--in", "{cnf}", "--redundancy", "1.1:2"],
+         "--redundancy builds a family and cannot be used with --in"),
+    ],
+)
+def test_family_flags_that_would_be_ignored_are_rejected(capsys, tmp_path, argv, message):
+    cnf = tmp_path / "chain.cnf"
+    cnf.write_text(write_dimacs(build_unit_chain(3)))
+    code, out, err = run_cli(capsys, *(a.format(cnf=cnf) for a in argv))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_output_failure_keeps_no_partial_file(capsys, tmp_path):

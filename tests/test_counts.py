@@ -75,21 +75,14 @@ def test_candidate_combinations():
 
 
 def test_leaf_path_counts_golden():
-    report = leaf_path_counts(3)
-    assert report.rows == (1, 3, 3, 1)
-    assert report.total == 8
-    assert report.to_text() == "1 3 3 1 total 8"
+    assert leaf_path_counts(3) == (1, 3, 3, 1)
 
 
 def test_path_enumeration_matches_closed_form():
     for k in range(13):
         walked = enumerate_paths(k)
-        closed = leaf_path_counts(k)
-        assert walked.rows == closed.rows == tuple(
-            math.comb(k, i) for i in range(k + 1)
-        )
-        assert walked.total == closed.total == 2**k
-        assert sum(walked.rows) == walked.total
+        assert walked == leaf_path_counts(k) == tuple(math.comb(k, i) for i in range(k + 1))
+        assert sum(walked) == 2**k
 
 
 def test_enumeration_depth_cap():
@@ -103,4 +96,4 @@ def test_pascal_rows_recurrence():
     rows = pascal_rows(4)
     assert rows == [(1,), (1, 1), (1, 2, 1), (1, 3, 3, 1), (1, 4, 6, 4, 1)]
     for k in range(11):
-        assert pascal_rows(k)[-1] == leaf_path_counts(k).rows
+        assert pascal_rows(k)[-1] == leaf_path_counts(k)

@@ -253,9 +253,9 @@ def redundancy_clauses(k, node, count, seed):
 
 def test_implicit_node_drops_switching_and_keeps_meaning():
     base = build_binomial_tree(TreeSpec(k=4))
-    entry = base.lit(SlotVar(2, 1))
-    left = base.lit(SlotVar(3, 1))
-    right = base.lit(SlotVar(3, 2))
+    entry = base.atlas.id_of(SlotVar(2, 1))
+    left = base.atlas.id_of(SlotVar(3, 1))
+    right = base.atlas.id_of(SlotVar(3, 2))
     implicit = implicit_tree(4, (2, 1), SlotVar(5, 2))
     assert implicit.num_clauses == base.num_clauses - 2
     assert implicit.metadata["implicit"] == "2.1:s5.2"

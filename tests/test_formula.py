@@ -4,7 +4,6 @@ import pytest
 
 from treesat.formula import (
     EMPTY_CLAUSE,
-    TAUTOLOGY,
     Atlas,
     BinaryVar,
     ChainVar,
@@ -14,7 +13,6 @@ from treesat.formula import (
     FreshVar,
     RootVar,
     SlotVar,
-    Tautology,
     build_formula,
     make_clause,
     parse_dimacs,
@@ -50,9 +48,8 @@ def test_clause_properties():
 def test_make_clause_sorts_merges_and_detects_tautology():
     assert make_clause([3, 1, -2]) == Clause((1, -2, 3))
     assert make_clause([2, 2, -1]) == Clause((-1, 2))
-    assert make_clause([1, -1]) is TAUTOLOGY
+    assert make_clause([1, -1]) is None
     assert make_clause([]) == EMPTY_CLAUSE
-    assert Tautology() is TAUTOLOGY
 
 
 def test_var_name_str_parse_round_trip():
@@ -116,7 +113,7 @@ def test_build_formula_dedups_and_rejects_tautologies():
     assert f.clauses == (Clause((1, 2)), Clause((-1,)))
     assert f.num_vars == 2
     with pytest.raises(ValueError):
-        build_formula([TAUTOLOGY])
+        build_formula([None])
 
 
 def test_with_extra_dedups_and_shares_atlas():
@@ -128,7 +125,6 @@ def test_with_extra_dedups_and_shares_atlas():
     assert g.clauses == (Clause((1, 2)), Clause((-2,)))
     assert g.atlas is f.atlas
     assert g.metadata == f.metadata and g.metadata is not f.metadata
-    assert f.lit(ChainVar(2), negated=True) == -2
 
 
 GOLDEN_DIMACS = """\

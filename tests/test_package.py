@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -24,3 +25,18 @@ def test_import_loads_only_the_engine_modules():
         "treesat.oracle",
         "treesat.resolution",
     ]
+
+
+def test_only_the_cli_writes_files():
+    for path in sorted((SRC / "treesat").glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                assert name != "open", f"{path.name}:{node.lineno} calls open"
+            elif isinstance(node, ast.Import):
+                assert "tempfile" not in (a.name for a in node.names), path.name
+            elif isinstance(node, ast.ImportFrom):
+                assert node.module != "tempfile", path.name

@@ -15,7 +15,7 @@ from treesat.forge import (
     compose_two_trees,
 )
 from treesat.formula import (
-    Clause, EMPTY_CLAUSE, TAUTOLOGY, RootVar, build_formula, make_clause,
+    Clause, EMPTY_CLAUSE, RootVar, build_formula, make_clause,
 )
 from treesat.oracle import dpll_sat, entails
 from treesat.resolution import (
@@ -40,7 +40,7 @@ def test_resolve_produces_canonical_resolvent():
 
 
 def test_resolve_detects_tautologies_and_bad_parents():
-    assert resolve(Clause((1, 2)), Clause((-1, -2)), 1) is TAUTOLOGY
+    assert resolve(Clause((1, 2)), Clause((-1, -2)), 1) is None
     with pytest.raises(ValueError):
         resolve(Clause((1, 2)), Clause((2, 3)), 2)
     with pytest.raises(ValueError):
@@ -61,7 +61,7 @@ def _random_formula(rng: random.Random, min_vars: int, max_vars: int, max_width:
                      for v in rng.sample(range(1, n + 1), rng.randint(1, min(n, max_width)))])
         for _ in range(rng.randint(2, 3 * n))
     ]
-    return build_formula([c for c in clauses if c is not TAUTOLOGY], n)
+    return build_formula([c for c in clauses if c is not None], n)
 
 
 def test_resolve_agrees_with_the_literal_merge_reference():
