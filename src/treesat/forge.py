@@ -136,10 +136,24 @@ class _Emitter:
 
 
 def _emit_triple(em: _Emitter, entry: int, a: int, b: int) -> None:
-    """The decision triple: entry false forces both pair members true."""
-    em.add(entry, a, b)
-    em.add(entry, a, -b)
-    em.add(entry, -a, b)
+    """The decision triple: entry false forces both pair members true.
+
+    Over three distinct variables the switching clauses are the canonical
+    tuple of (entry a b) with the sign of b, then of a, flipped.  Fewer
+    variables mean a substitution merged two of them, and `add` raises on
+    the tautology that follows."""
+    lits = sorted((entry, a, b), key=abs)
+    if not abs(lits[0]) < abs(lits[1]) < abs(lits[2]):
+        em.add(entry, a, b)
+        em.add(entry, a, -b)
+        em.add(entry, -a, b)
+        return
+    first = tuple(lits)
+    i, j = lits.index(a), lits.index(b)
+    lits[j] = -b
+    no_b = tuple(lits)
+    lits[i], lits[j] = -a, b
+    em.clauses += (Clause._unchecked(first), Clause._unchecked(no_b), Clause._unchecked(tuple(lits)))
 
 
 def _emit_binomial(
@@ -160,15 +174,17 @@ def _emit_binomial(
             # At k = 1 the alias would write the root into its own triple.
             raise ValueError("an alias closure needs depth at least 2 (use clause:ROW or none)")
         em.bind(SlotVar(k + 1, closure.row, tree), alias_lit if alias_lit is not None else root_lit)
+    # Each level's boundary slots are looked up once, in ascending row
+    # order (the order that registers them), and enter the next level.
+    entries = [root_lit]
     for level in range(1, k + 1):
-        for row in range(1, level + 1):
-            entry = root_lit if level == 1 else em.lit(SlotVar(level, row, tree), negated=True)
-            a = em.lit(SlotVar(level + 1, row, tree))
-            b = em.lit(SlotVar(level + 1, row + 1, tree))
+        slots = [em.lit(SlotVar(level + 1, row, tree)) for row in range(1, level + 2)]
+        for row, (entry, a, b) in enumerate(zip(entries, slots, slots[1:]), start=1):
             if (level, row) in implicit:
                 em.add(entry, a, b)
             else:
                 _emit_triple(em, entry, a, b)
+        entries = [-slot for slot in slots]
     if isinstance(closure, ClosureClause):
         em.add(em.lit(SlotVar(k + 1, closure.row, tree), negated=True), root_lit)
 
@@ -196,7 +212,7 @@ def _finish(em: _Emitter, metadata: dict[str, str]) -> CnfFormula:
     formula = build_formula(
         em.clauses, num_vars=len(em.atlas), atlas=em.atlas, metadata=metadata
     )
-    width_two = sum(1 for c in formula.clauses if c.width == 2)
+    width_two = sum(1 for c in formula.clauses if len(c.lits) == 2)
     if width_two:
         formula.metadata["width_two_clauses"] = str(width_two)
     return formula

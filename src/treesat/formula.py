@@ -244,11 +244,20 @@ class CnfFormula:
             if clause.lits in seen:
                 raise ValueError(f"duplicate clause {clause}")
             seen.add(clause.lits)
-            # A canonical clause ends with its highest variable.
-            if clause.lits and abs(clause.lits[-1]) > self.num_vars:
-                raise ValueError(
-                    f"variable {abs(clause.lits[-1])} above declared count {self.num_vars}"
-                )
+        _check_range(self.clauses, self.num_vars)
+
+    @classmethod
+    def _unchecked(
+        cls, clauses: tuple[Clause, ...], num_vars: int, atlas: Atlas, metadata: dict[str, str]
+    ) -> CnfFormula:
+        """A formula from clauses already free of duplicates and within
+        `num_vars`, built without the check above."""
+        formula = object.__new__(cls)
+        object.__setattr__(formula, "clauses", clauses)
+        object.__setattr__(formula, "num_vars", num_vars)
+        object.__setattr__(formula, "atlas", atlas)
+        object.__setattr__(formula, "metadata", metadata)
+        return formula
 
     @property
     def num_clauses(self) -> int:
@@ -270,16 +279,25 @@ def build_formula(clauses, num_vars=None, atlas=None, metadata=None) -> CnfFormu
     for clause in clauses:
         if clause is None:
             raise ValueError("tautologies cannot be stored in a formula")
-        if clause.lits not in seen:
-            seen.add(clause.lits)
+        lits = clause.lits
+        if lits not in seen:
+            seen.add(lits)
             out.append(clause)
     if num_vars is None:
         top = max((abs(c.lits[-1]) for c in out if c.lits), default=0)
         num_vars = len(atlas) if atlas is not None else top
-    return CnfFormula(
+    _check_range(out, num_vars)
+    return CnfFormula._unchecked(
         tuple(out), num_vars, atlas if atlas is not None else Atlas(),
         dict(metadata) if metadata else {},
     )
+
+
+def _check_range(clauses, num_vars: int) -> None:
+    # A canonical clause ends with its highest variable.
+    for clause in clauses:
+        if clause.lits and abs(clause.lits[-1]) > num_vars:
+            raise ValueError(f"variable {abs(clause.lits[-1])} above declared count {num_vars}")
 
 
 def write_dimacs(formula: CnfFormula) -> str:
@@ -291,7 +309,7 @@ def write_dimacs(formula: CnfFormula) -> str:
         lines.append(f"c var {vid} {name}")
     lines.append(f"p cnf {formula.num_vars} {formula.num_clauses}")
     for clause in formula.clauses:
-        lines.append(" ".join(str(lit) for lit in clause.lits) + " 0")
+        lines.append(" ".join(map(str, clause.lits)) + " 0")
     return "\n".join(lines) + "\n"
 
 
@@ -310,7 +328,8 @@ def parse_dimacs(text: str) -> CnfFormula:
     num_vars = num_clauses = -1
     clauses: list[Clause] = []
     pending: list[int] = []
-    pending_line = 0
+    pending_line = last = 0
+    rising = True
 
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -359,18 +378,25 @@ def parse_dimacs(text: str) -> CnfFormula:
             except ValueError:
                 raise DimacsError(f"line {lineno}: bad literal {token!r}") from None
             if lit == 0:
-                clause = make_clause(pending)
+                # Strictly rising variables make a canonical clause as written.
+                clause = Clause._unchecked(tuple(pending)) if rising else make_clause(pending)
                 if clause is None:
                     raise DimacsError(
                         f"line {lineno}: tautologous clause {' '.join(map(str, pending))}"
                     )
                 clauses.append(clause)
                 pending = []
+                last, rising = 0, True
             else:
-                if abs(lit) > num_vars:
+                var = abs(lit)
+                if var > num_vars:
                     raise DimacsError(
-                        f"line {lineno}: variable {abs(lit)} above declared count {num_vars}"
+                        f"line {lineno}: variable {var} above declared count {num_vars}"
                     )
+                if var > last:
+                    last = var
+                else:
+                    rising = False
                 if not pending:
                     pending_line = lineno
                 pending.append(lit)

@@ -217,3 +217,33 @@ def test_random_formula_round_trips():
                 clauses.append(clause)
         f = build_formula(clauses, n)
         assert parse_dimacs(write_dimacs(f)) == f
+
+
+def test_parse_dimacs_builds_each_clause_as_make_clause_does():
+    # Literals are shuffled, repeated and complementary, and sorted clauses
+    # (the ones parse_dimacs builds without make_clause) are mixed in.
+    rng = random.Random(1515)
+    for _ in range(500):
+        n = rng.randint(1, 6)
+        clause_tokens = []
+        for _ in range(rng.randint(1, 4)):
+            lits = [rng.choice((1, -1)) * rng.randint(1, n) for _ in range(rng.randint(0, 5))]
+            if rng.random() < 0.4:
+                lits = [lit for _, lit in sorted({abs(lit): lit for lit in lits}.items())]
+            clause_tokens.append(lits)
+        lines, lineno, taut_line = [f"p cnf {n} {len(clause_tokens)}"], 1, None
+        for lits in clause_tokens:
+            for token in lits + [0]:
+                if len(lines) == 1 or rng.random() < 0.3:
+                    lines.append("")
+                    lineno += 1
+                lines[-1] += f" {token}"
+            if make_clause(lits) is None and taut_line is None:
+                taut_line = lineno
+        text = "\n".join(lines) + "\n"
+        if taut_line is not None:
+            with pytest.raises(DimacsError, match=f"^line {taut_line}: tautologous"):
+                parse_dimacs(text)
+            continue
+        expected = build_formula([make_clause(lits) for lits in clause_tokens], n)
+        assert [c.lits for c in parse_dimacs(text).clauses] == [c.lits for c in expected.clauses]
