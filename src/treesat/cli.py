@@ -297,21 +297,20 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         if args.k is None:
             raise ValueError("--k is required")
     if args.paths:
+        if args.tree == "binary":
+            raise ValueError("--paths counts the binomial tree only; drop --tree binary")
         rows = leaf_path_counts(args.k)
         print(" ".join(map(str, rows)), "total", sum(rows))
         return 0
+    binary = args.tree == "binary"
     if args.vars:
-        count = binary_var_count(args.k) if args.tree == "binary" else binomial_var_count(args.k)
-        print(count)
+        print(binary_var_count(args.k) if binary else binomial_var_count(args.k))
         return 0
     if args.depth_for is not None:
-        depth = (
-            binary_depth_for(args.depth_for)
-            if args.tree == "binary"
-            else binomial_depth_for(args.depth_for)
-        )
-        print(depth)
+        print(binary_depth_for(args.depth_for) if binary else binomial_depth_for(args.depth_for))
         return 0
+    if args.tree is not None:
+        raise ValueError("--tree does not apply to --combinations")
     m, k = args.combinations
     print(candidate_combinations(m, k))
     return 0
@@ -373,7 +372,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth-for", type=int, metavar="N", help="largest depth whose tree fits N variables")
     p.add_argument("--combinations", type=int, nargs=2, metavar=("M", "K"), help="selection combinations")
     p.add_argument("--k", type=int, help="depth for --paths/--vars")
-    p.add_argument("--tree", choices=("binomial", "binary"), default="binomial")
+    p.add_argument(
+        "--tree", choices=("binomial", "binary"),
+        help="tree for --vars/--depth-for (default binomial); --paths counts binomial only",
+    )
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("verify", help="run the verification checklist")

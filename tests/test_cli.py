@@ -275,12 +275,26 @@ def test_max_width_flag_limits_resolvents(capsys):
 
 
 def test_analyze_paths(capsys):
-    code, out, _ = run_cli(capsys, "analyze", "--paths", "--k", "3")
-    assert code == 0 and out == "1 3 3 1 total 8\n"
+    for tree in ((), ("--tree", "binomial")):
+        code, out, _ = run_cli(capsys, "analyze", "--paths", "--k", "3", *tree)
+        assert code == 0 and out == "1 3 3 1 total 8\n"
     # Depths beyond the enumeration cap switch to the closed form.
     code, out, _ = run_cli(capsys, "analyze", "--paths", "--k", "30")
     assert code == 0
     assert out.startswith("1 30 435 ") and out.endswith("total 1073741824\n")
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["--paths", "--k", "3", "--tree", "binary"], "--paths counts the binomial tree only; drop --tree binary"),
+        (["--combinations", "3", "4", "--tree", "binomial"], "--tree does not apply to --combinations"),
+        (["--combinations", "3", "4", "--tree", "binary"], "--tree does not apply to --combinations"),
+    ],
+)
+def test_analyze_rejects_a_tree_it_would_ignore(capsys, argv, message):
+    code, out, err = run_cli(capsys, "analyze", *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_analyze_paths_matches_spec_row(capsys):
@@ -484,7 +498,8 @@ def mutate_dimacs(rng, text):
 
 
 def fuzz_family_flags(rng):
-    argv = ["--family", rng.choice(list(FAMILIES) + ["bogus"]), "--k", str(rng.randint(-1, 4))]
+    family = rng.choice(list(FAMILIES) + ["bogus"])
+    argv = ["--family", family, "--k", str(rng.randint(-1, 4))]
     choices = {
         "--closure": ["alias:1", "alias:3", "clause:2", "none", "alias", "pivot:1", "clause:0"],
         "--sub": ["s3.2=z0", "s3.3=~z0", "s4.2=z0", "x1.1=z0", "s3.1", "s2.2=~x1.1", "s3.2=q"],
@@ -493,10 +508,15 @@ def fuzz_family_flags(rng):
         "--k-sub": ["-1", "0", "1", "2"],
         "--seed": ["0", "3", "-2"],
     }
+    # Flags go to the family that reads them, except in one draw in ten,
+    # which keeps the check that rejects another family's flag fuzzed.
+    mismatched = rng.random() < 0.1
     for flag, values in choices.items():
-        for _ in range(rng.choice((0, 0, 1, 2))):
-            argv += [flag, rng.choice(values)]
-    if rng.random() < 0.3:
+        owner = "multi-branching" if flag == "--k-sub" else "binomial"
+        if family == owner or mismatched:
+            for _ in range(rng.choice((0, 0, 1, 2))):
+                argv += [flag, rng.choice(values)]
+    if (family == "binomial" or mismatched) and rng.random() < 0.3:
         argv.append("--negate-root")
     return argv
 
