@@ -140,8 +140,8 @@ def _emit_triple(em: _Emitter, entry: int, a: int, b: int) -> None:
 
     Over three distinct variables the switching clauses are the canonical
     tuple of (entry a b) with the sign of b, then of a, flipped.  Fewer
-    variables mean a substitution merged two of them, and `add` raises on
-    the tautology that follows."""
+    variables mean a substitution or implicit node merged two of them, and
+    `add` raises on the tautology that follows."""
     lits = sorted((entry, a, b), key=abs)
     if not abs(lits[0]) < abs(lits[1]) < abs(lits[2]):
         em.add(entry, a, b)

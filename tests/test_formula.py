@@ -231,15 +231,14 @@ def test_parse_dimacs_builds_each_clause_as_make_clause_does():
             if rng.random() < 0.4:
                 lits = [lit for _, lit in sorted({abs(lit): lit for lit in lits}.items())]
             clause_tokens.append(lits)
-        lines, lineno, taut_line = [f"p cnf {n} {len(clause_tokens)}"], 1, None
+        lines, taut_line = [f"p cnf {n} {len(clause_tokens)}"], None
         for lits in clause_tokens:
             for token in lits + [0]:
                 if len(lines) == 1 or rng.random() < 0.3:
                     lines.append("")
-                    lineno += 1
                 lines[-1] += f" {token}"
             if make_clause(lits) is None and taut_line is None:
-                taut_line = lineno
+                taut_line = len(lines)
         text = "\n".join(lines) + "\n"
         if taut_line is not None:
             with pytest.raises(DimacsError, match=f"^line {taut_line}: tautologous"):
