@@ -1,16 +1,15 @@
-"""Closed-form size formulas and explicit path counting.
+"""Closed-form size formulas and path counts read off a built formula.
 
-Everything here is exact integer arithmetic; there is no floating point
-anywhere in a result.  The explicit enumerator really walks all 2**k
-left/right selection sequences and is the independent cross-check for
-the binomial closed forms.
+Everything here is exact integer arithmetic.  `count_paths` walks the
+decision triples of a formula that `forge` built, so the closed forms
+are checked against the clause list, not against a restatement of them.
 """
 
 from __future__ import annotations
 
 import math
 
-ENUMERATION_DEPTH_CAP = 24
+from .formula import CnfFormula
 
 
 def binary_depth_for(n: int) -> int:
@@ -61,22 +60,35 @@ def leaf_path_counts(k: int) -> tuple[int, ...]:
     return tuple(math.comb(k, i) for i in range(k + 1))
 
 
-def enumerate_paths(k: int) -> tuple[int, ...]:
-    """Walk every left/right selection sequence through the depth-k tree.
+def count_paths(formula: CnfFormula, entry: int) -> dict[int, int]:
+    """Paths from the triples entered by literal `entry` to the pair
+    members where they end, as {member literal: paths}.
 
-    A sequence is a k-bit word; starting at row 1, each right selection
-    moves to row + 1 (node (l, r) hands over to (l+1, r) or (l+1, r+1)).
-    The tally is compared against nothing here: it IS the oracle the
-    closed forms are tested against.
-    """
-    if k < 0:
-        raise ValueError("depth must be non-negative")
-    if k > ENUMERATION_DEPTH_CAP:
-        raise ValueError(
-            f"2**{k} sequences exceed the enumeration limit (k <= {ENUMERATION_DEPTH_CAP}); "
-            "use leaf_path_counts for the closed form"
-        )
-    rows = [0] * (k + 1)
-    for sequence in range(1 << k):
-        rows[sequence.bit_count()] += 1
-    return tuple(rows)
+    A decision triple is a clause (e a b) whose sign-flipped siblings
+    (e a ~b) and (e ~a b) are clauses too.  Level by level, member m
+    enters the triples of ~m and shared members add their counts.  A path
+    ends at a member whose complement enters no triple, or was entered
+    before, or that lies on `entry`'s variable, so cycles end."""
+    present = {clause.lits for clause in formula.clauses}
+    members: dict[int, list[int]] = {}
+    for lits in (clause.lits for clause in formula.clauses if clause.width == 3):
+        flips = [lits[:j] + (-lits[j],) + lits[j + 1 :] in present for j in range(3)]
+        for i, j, k in ((0, 1, 2), (1, 0, 2), (2, 0, 1)):
+            if flips[j] and flips[k]:
+                members.setdefault(lits[i], []).extend((lits[j], lits[k]))
+    arrivals: dict[int, int] = {}
+    entered: set[int] = set()
+    level = {entry: 1}
+    while level:
+        entered.update(level)
+        reached: dict[int, int] = {}
+        for lit, paths in level.items():
+            for member in members.get(lit, ()):
+                reached[member] = reached.get(member, 0) + paths
+        level = {}
+        for member, paths in reached.items():
+            if abs(member) == abs(entry) or -member in entered or -member not in members:
+                arrivals[member] = arrivals.get(member, 0) + paths
+            else:
+                level[-member] = paths
+    return arrivals

@@ -24,7 +24,7 @@ from .counts import (
     binomial_depth_for,
     binomial_var_count,
     candidate_combinations,
-    enumerate_paths,
+    count_paths,
 )
 from .forge import (
     Alias,
@@ -32,12 +32,14 @@ from .forge import (
     NamedLit,
     RedundancySpec,
     TreeSpec,
+    build_binary_tree,
     build_binomial_tree,
     build_pair_chain,
     build_unit_chain,
     compose_two_trees,
 )
 from .formula import (
+    BinaryVar,
     ChainVar,
     Clause,
     FreshVar,
@@ -152,31 +154,43 @@ def _check_pair_chain() -> tuple[bool, str]:
     return True, "k=2..6: satisfiable with dominant root; k>=3: two-hop link derived in exactly 3 steps"
 
 
-@_register("path-counts", limit_seconds=30.0)
+@_register("path-counts", limit_seconds=5.0)
 def _check_path_counts() -> tuple[bool, str]:
-    for k in range(25):
-        rows = enumerate_paths(k)
-        reference = tuple(math.comb(k, i) for i in range(k + 1))
-        if rows != reference or sum(rows) != 2**k:
-            return False, f"k={k}: enumerated rows disagree with binomial coefficients"
-    if enumerate_paths(3) != (1, 3, 3, 1):
-        return False, "k=3 row is not (1, 3, 3, 1)"
-    return True, "k=0..24: enumerated paths per boundary row equal C(k, r-1), totalling 2^k"
+    for k in range(1, 25):
+        for closure in (None, Alias(1)) if k >= 2 else (None,):
+            formula = build_binomial_tree(TreeSpec(k=k, closure=closure))
+            root = formula.atlas.id_of(RootVar())
+            # The alias writes the root literal into boundary row 1.
+            ends = [root] if closure else []
+            ends += [formula.atlas.id_of(SlotVar(k + 1, row)) for row in range(len(ends) + 1, k + 2)]
+            got = count_paths(formula, root)
+            if got != {lit: math.comb(k, i) for i, lit in enumerate(ends)}:
+                return False, f"k={k} closure {closure}: paths per row {[got.get(lit, 0) for lit in ends]}, {sum(got.values())} in all"
+    for k in range(1, 11):
+        formula = build_binary_tree(k)
+        leaves = {formula.atlas.id_of(BinaryVar(k, i)): 1 for i in range(1, 2**k + 1)}
+        if count_paths(formula, formula.atlas.id_of(RootVar())) != leaves:
+            return False, f"binary k={k}: not one path to each of the {2**k} leaves"
+    return True, "built binomial trees k=1..24, open and alias-closed: C(k, r-1) paths to row r, 2^k in all; built binary trees k=1..10: one path per leaf"
 
 
 @_register("depth-formulas")
 def _check_depth_formulas() -> tuple[bool, str]:
+    for k in range(1, 31):
+        tree = binomial_var_count(k)
+        built = [(tree, build_binomial_tree(TreeSpec(k=k, closure=None)))]
+        if k >= 2:
+            built.append((tree - 1, build_binomial_tree(TreeSpec(k=k))))
+            built += [(2 * tree - 3, compose_two_trees(k, closing)) for closing in Closing]
+        if k <= 12:
+            built.append((binary_var_count(k), build_binary_tree(k)))
+        for want, formula in built:
+            if formula.num_vars != want:
+                return False, f"{formula.metadata}: {formula.num_vars} variables, closed form {want}"
     for k in range(1001):
-        if binomial_var_count(k) != (k + 1) * (k + 2) // 2:
-            return False, f"triangular count fails at k={k}"
-        if binomial_depth_for(binomial_var_count(k)) != k:
-            return False, f"triangular round trip fails at k={k}"
-        n = binary_var_count(k)
-        if binary_depth_for(n) != k:
-            return False, f"geometric round trip fails at k={k}"
-        if (n + 1) % 2 or 2**k != (n + 1) // 2:
-            return False, f"identity 2^k = (n+1)/2 fails at k={k}"
-    return True, "k=0..1000: depth formulas invert the variable counts; 2^k = (n+1)/2 exactly"
+        if binomial_depth_for(binomial_var_count(k)) != k or binary_depth_for(binary_var_count(k)) != k:
+            return False, f"depth round trip fails at k={k}"
+    return True, "built binomial trees and compositions k<=30 and binary trees k<=12 have the closed-form variable counts; k=0..1000: depth formulas invert the counts"
 
 
 @_register("two-tree-verdicts")

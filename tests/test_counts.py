@@ -1,17 +1,23 @@
-import math
-
 import pytest
 
 from treesat.counts import (
-    ENUMERATION_DEPTH_CAP,
     binary_depth_for,
     binary_var_count,
     binomial_depth_for,
     binomial_var_count,
     candidate_combinations,
-    enumerate_paths,
+    count_paths,
     leaf_path_counts,
 )
+from treesat.forge import (
+    Alias,
+    Closing,
+    TreeSpec,
+    build_binary_tree,
+    build_binomial_tree,
+    compose_two_trees,
+)
+from treesat.formula import BinaryVar, RootVar, SlotVar
 
 
 def pascal_rows(k: int) -> list[tuple[int, ...]]:
@@ -78,18 +84,54 @@ def test_leaf_path_counts_golden():
     assert leaf_path_counts(3) == (1, 3, 3, 1)
 
 
-def test_path_enumeration_matches_closed_form():
-    for k in range(13):
-        walked = enumerate_paths(k)
-        assert walked == leaf_path_counts(k) == tuple(math.comb(k, i) for i in range(k + 1))
-        assert sum(walked) == 2**k
+def boundary_rows(spec):
+    """Paths from the root literal to each boundary row of a built tree;
+    the aliased row's paths arrive at the root literal."""
+    formula = build_binomial_tree(spec)
+    root = formula.atlas.id_of(RootVar())
+    root_lit = -root if spec.root_negated else root
+    arrivals = count_paths(formula, root_lit)
+    aliased = spec.closure.row if isinstance(spec.closure, Alias) else None
+    rows = tuple(
+        arrivals.pop(root_lit if row == aliased else formula.atlas.id_of(SlotVar(spec.k + 1, row)))
+        for row in range(1, spec.k + 2)
+    )
+    assert arrivals == {}
+    return rows
 
 
-def test_enumeration_depth_cap():
-    with pytest.raises(ValueError, match="closed form"):
-        enumerate_paths(ENUMERATION_DEPTH_CAP + 1)
-    with pytest.raises(ValueError):
-        enumerate_paths(-1)
+def test_count_paths_reads_binomial_rows_off_built_trees():
+    for k in range(1, 13):
+        assert boundary_rows(TreeSpec(k=k, closure=None)) == leaf_path_counts(k)
+        assert sum(leaf_path_counts(k)) == 2**k
+    for k in range(2, 13):
+        for row in (1, k // 2 + 1, k + 1):
+            assert boundary_rows(TreeSpec(k=k, closure=Alias(row))) == leaf_path_counts(k)
+            negated = TreeSpec(k=k, closure=Alias(row), root_negated=True)
+            assert boundary_rows(negated) == leaf_path_counts(k)
+    assert boundary_rows(TreeSpec(k=3)) == (1, 3, 3, 1)
+
+
+def test_count_paths_reaches_each_binary_leaf_once():
+    formula = build_binary_tree(6)
+    arrivals = count_paths(formula, formula.atlas.id_of(RootVar()))
+    assert arrivals == {formula.atlas.id_of(BinaryVar(6, i)): 1 for i in range(1, 65)}
+
+
+def test_count_paths_stops_at_the_shared_root_of_a_composition():
+    for closing in Closing:
+        for k in (2, 5, 9):
+            formula = compose_two_trees(k, closing)
+            for entry in (1, -1):
+                arrivals = count_paths(formula, entry)
+                assert sum(arrivals.values()) == 2**k
+                # Row 1 of each tree is aliased to a root literal.
+                assert sum(paths for lit, paths in arrivals.items() if abs(lit) == 1) == 1
+
+
+def test_count_paths_without_triples_is_empty():
+    formula = build_binomial_tree(TreeSpec(k=3))
+    assert count_paths(formula, -1) == {}
 
 
 def test_pascal_rows_recurrence():

@@ -10,6 +10,7 @@ import hashlib
 
 import pytest
 
+from treesat.counts import count_paths
 from treesat.forge import (
     FAMILIES,
     Alias,
@@ -102,3 +103,11 @@ def test_write_dimacs_matches_the_pinned_digest(name):
     text = write_dimacs(CASES[name]())
     assert hashlib.sha256(text.encode()).hexdigest() == DIGESTS[name]
     assert write_dimacs(parse_dimacs(text)) == text
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_count_paths_ends_on_every_case(name):
+    formula = CASES[name]()
+    root = formula.atlas.id_of(RootVar())
+    for entry in (root, -root):
+        assert all(paths > 0 for paths in count_paths(formula, entry).values())
