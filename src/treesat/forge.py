@@ -209,13 +209,7 @@ def parse_closure(text: str) -> Closure:
 
 
 def _finish(em: _Emitter, metadata: dict[str, str]) -> CnfFormula:
-    formula = build_formula(
-        em.clauses, num_vars=len(em.atlas), atlas=em.atlas, metadata=metadata
-    )
-    width_two = sum(1 for c in formula.clauses if len(c.lits) == 2)
-    if width_two:
-        formula.metadata["width_two_clauses"] = str(width_two)
-    return formula
+    return build_formula(em.clauses, num_vars=len(em.atlas), atlas=em.atlas, metadata=metadata)
 
 
 # ---------------------------------------------------------------------------
@@ -300,8 +294,6 @@ def build_binomial_tree(spec: TreeSpec) -> CnfFormula:
         "family": "binomial",
         "k": str(spec.k),
         "closure": _closure_text(spec.closure),
-        "nodes": str(spec.k * (spec.k + 1) // 2),
-        "variables_closed_form": str((spec.k + 1) * (spec.k + 2) // 2),
     }
     if spec.root_negated:
         metadata["root"] = "neg"
@@ -347,15 +339,7 @@ def compose_two_trees(k: int, closing: Closing) -> CnfFormula:
     flip = -1 if closing is Closing.CROSSED else 1
     _emit_binomial(em, k, root, Alias(1), alias_lit=flip * root, tree=0)
     _emit_binomial(em, k, -root, Alias(1), alias_lit=flip * -root, tree=1)
-    return _finish(
-        em,
-        {
-            "family": "compose",
-            "k": str(k),
-            "closing": str(closing),
-            "variables_closed_form": str((k + 1) * (k + 2) - 3),
-        },
-    )
+    return _finish(em, {"family": "compose", "k": str(k), "closing": str(closing)})
 
 
 def build_multi_branching(k_top: int, k_sub: int = 1) -> CnfFormula:
@@ -379,20 +363,9 @@ def build_multi_branching(k_top: int, k_sub: int = 1) -> CnfFormula:
         b = em.lit(SlotVar(k_top + 1, 2 * row))
         _emit_triple(em, entry, a, b)
         branch_roots += [a, b]
-    top_clauses = len(em.clauses)
     for j, branch in enumerate(branch_roots, start=1):
         _emit_binomial(em, k_sub, -branch, None, tree=j)
-    return _finish(
-        em,
-        {
-            "family": "multi-branching",
-            "k_top": str(k_top),
-            "k_sub": str(k_sub),
-            "subtrees": str(len(branch_roots)),
-            "clauses_top": str(top_clauses),
-            "clauses_subtrees": str(len(em.clauses) - top_clauses),
-        },
-    )
+    return _finish(em, {"family": "multi-branching", "k_top": str(k_top), "k_sub": str(k_sub)})
 
 
 # Every instance family by name, built from its depth k at default

@@ -38,8 +38,7 @@ def test_unit_chain_golden():
     assert clause_strings(f) == ["1 2", "-2 3", "1 -3"]
     assert f.num_vars == 3
     assert [str(n) for _, n in f.atlas.items()] == ["x1.1", "x2.1", "x3.1"]
-    assert f.metadata["family"] == "unit-chain"
-    assert f.metadata["width_two_clauses"] == "3"
+    assert f.metadata == {"family": "unit-chain", "k": "3"}
     with pytest.raises(ValueError):
         build_unit_chain(1)
 
@@ -77,8 +76,6 @@ def test_binomial_tree_golden():
         "family": "binomial",
         "k": "2",
         "closure": "alias:1",
-        "nodes": "3",
-        "variables_closed_form": "6",
     }
 
 
@@ -230,9 +227,7 @@ def test_multi_branching_shape():
     f = build_multi_branching(2, 1)
     assert f.num_clauses == 21
     assert f.num_vars == 15
-    assert f.metadata["subtrees"] == "4"
-    assert f.metadata["clauses_top"] == "9"
-    assert f.metadata["clauses_subtrees"] == "12"
+    assert f.metadata == {"family": "multi-branching", "k_top": "2", "k_sub": "1"}
     assert dpll_sat(f).is_sat
     assert not is_dominant(f, 1)
     with pytest.raises(ValueError):
@@ -271,12 +266,14 @@ def test_implicit_node_drops_switching_and_keeps_meaning():
     assert is_dominant(implicit, 1)
 
 
-def test_implicit_node_recounts_width_two_clauses():
+def test_implicit_node_narrows_its_clause_to_width_two():
     # Node (1, 1) keeps only (1 2 3); aliasing s2.2 to s2.1 narrows it to (1 2).
     spec = TreeSpec(k=3, implicit_nodes=(((1, 1), SlotVar(2, 2)),))
-    assert build_binomial_tree(spec).metadata["width_two_clauses"] == "1"
+    narrow = [str(c) for c in build_binomial_tree(spec).clauses if c.width == 2]
+    assert narrow == ["1 2"]
     closed = dataclasses.replace(spec, closure=ClosureClause(1))
-    assert build_binomial_tree(closed).metadata["width_two_clauses"] == "2"
+    narrow = [str(c) for c in build_binomial_tree(closed).clauses if c.width == 2]
+    assert narrow == ["1 2", "1 -6"]
 
 
 def test_implicit_node_validation():

@@ -105,6 +105,17 @@ def test_write_dimacs_matches_the_pinned_digest(name):
     assert write_dimacs(parse_dimacs(text)) == text
 
 
+RECIPE_KEYS = {
+    "family", "k", "closure", "root", "substitutions", "implicit", "redundancy",
+    "closing", "k_top", "k_sub",
+}
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_metadata_records_only_the_recipe(name):
+    assert set(CASES[name]().metadata) <= RECIPE_KEYS
+
+
 @pytest.mark.parametrize("name", CASES)
 def test_count_paths_ends_on_every_case(name):
     formula = CASES[name]()
