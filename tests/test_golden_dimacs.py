@@ -2,8 +2,9 @@
 
 Each case is a generated formula and the SHA-256 of its `write_dimacs`
 text.  The digests were taken from the generators before their emission
-loops were rewritten for speed, so any change to clause order, literal
-order, atlas, metadata or formatting fails here.
+loops were rewritten for speed, and then with the `c meta` lines of
+derived counts removed from that text, so any change to clause order,
+literal order, atlas, metadata or formatting fails here.
 """
 
 import hashlib
@@ -70,31 +71,31 @@ CASES = dict(golden_cases())
 
 
 DIGESTS = {
-    "unit-chain-3": "9bbfd159613d1cb7c5b274ef152e298bd92907724b7d9ae35299369317c61d7b",
-    "unit-chain-9": "904a5d22dcc7a8ccfd9a4371c3b6917b7518716b5910fdf5c37dab5b2c1dee88",
+    "unit-chain-3": "6c0e61a7eb3bf72663dfb6f7681c6027413dfc7d3f0d9bbc79a013601d001851",
+    "unit-chain-9": "a75e80e947ce8d52e26545d4305f748f53bf99024411940da8e8f22f21f9df84",
     "pair-chain-3": "f3037d4dc7bf54245c161f56baabf5551b698c9b00281776d7ce2d5163da5ae9",
     "pair-chain-9": "dc87dc7e69e35a7c0f37a08ef214c16d78b13a8ae491162110bbabae1aba49cc",
     "binary-3": "aeade82f26d4795ce2a7485b41c794362bd434385237730bc35f2003c4f5023c",
     "binary-9": "18a49da6377d7a6db7352e02e9cb011802ddc6f8ac29099e54e3b16cad4d9b7a",
-    "binomial-3": "55cedf57bb136871cc1d49e2b3d1185359f0779dbb7ac5e75e07b659f459c7da",
-    "binomial-9": "31dff59b01bb6e38b5296055344bbba9fafcfc1eff585614f2d7d71710980147",
-    "compose-matched-3": "70b99c371e5e688344ffdc74a47c83e32d94a2f58f1a41ed2c50bf5892409f2b",
-    "compose-matched-9": "d4c66bdfbf30c2a7b4518fd9daf28f0e2e50b3132e69971c0c5ca9b87507a505",
-    "compose-crossed-3": "113801137eb02b53c38b56f7df528b20f6130759140d6ece24cb9e8a8b2b3324",
-    "compose-crossed-9": "23a2c4237530a9e2949df5ac62f1565d63b787f5b7889d03e0aff3592ad4a500",
-    "multi-branching-3": "93fe270f891258d6985293bc9dcd6a02bd7037aa48fec5f2275f53bbc9a3d055",
-    "multi-branching-9": "f609b39aa05d75709e7b62c9cdf771988729041707d966fe945cb569fe25d531",
-    "multi-branching-3-sub-4": "513f113544ec1d9ec30af020eadf0c12d1d483e25ab60030bcfb124b9a11ea8e",
-    "spec-substitutions": "7fca4543b3a713daaacb1fac48cd3f71f5ef23d8a2096208e246039208133dd1",
-    "spec-substitution-by-root": "a6671f00dbaf5c552020563697a231cec1732dfe54ac0e8fd3ddbcaa1ac6805c",
-    "spec-substitution-same-literal": "4c39f44f9cfb843187467327cee927c12b51e735b8ba73ec0c951aa8a2fd227b",
-    "spec-implicit": "843fbe207760da84668ea0683dfc3a6ed36a93741aa155095378c6013c01021b",
-    "spec-implicit-narrowed": "99463bafd0479efea4fc73e23849f7ace6256e581e68e871e016acb9216ecbd1",
-    "spec-redundancy": "f43f1ce7a895db4aed8796f38a95c52cddcd2296f948c6873009ced0b7d2ea3b",
-    "spec-closure-clause": "e5c5907b134f218ffcc160d43824f700fdf916e2f5f711b4635ccba73a7afc9c",
-    "spec-open": "c943bc060e96ee11afc2f43f66c4269df211b13eadce1a0dbab5c885b85e1a8f",
-    "spec-root-negated": "e66cd4567a4abe93db1e62f3229ba5cef94a76e452419652605ae9dc06929f2b",
-    "spec-everything": "740224916dc2a9e7f6e269ae390788b67070129579fec20b6c675df637a4eca1",
+    "binomial-3": "7b4d0eb2f397dc37dc340a5ace00808c47728190c328c37c89f63a4c4cf768b8",
+    "binomial-9": "c283b0724889e1ae43707bb9c9b5d365690fd2c7a265eb866049b54d1de65ce2",
+    "compose-matched-3": "ddba93da09e5b3b6b9d0c5716d5ad6091f3749beab10ab7e3e67af708a2a48bb",
+    "compose-matched-9": "e34930d8fb989bd7d3871ecdd6cabd600fb69fda4189776f43f7cc3db914bce0",
+    "compose-crossed-3": "6f280c86e3443952fad73f0d5132c64de73f254da1cad63ad3439ca208d20721",
+    "compose-crossed-9": "5400e3bb974a01137326755e6d8d43172ed0d9486f06e6bb38503b58fbb418bc",
+    "multi-branching-3": "c5e7d3bd2167d6ef8798aeee8b45a12d3ebde89640106865a4e364c2e69db9b0",
+    "multi-branching-9": "e71da3fc16aef3e335f421e7a2b4e40500115ba1ba898de4e9c5465d3b7ee20f",
+    "multi-branching-3-sub-4": "e9a0c4f133aea776b5f500f1f11a41be85a084297673224bb231349b3e415597",
+    "spec-substitutions": "559c43ad1196785f14b2b57eab9cafc47985adc1b15b429a4f9a0eaa98d313c8",
+    "spec-substitution-by-root": "17ec3312e834409a574c346d238a60ec84fd435aac8cbfe376588ad81a722ca0",
+    "spec-substitution-same-literal": "375663cb143bd8d669797390b963bb908bbf6bfe6e8591f2e354f198357a83a3",
+    "spec-implicit": "7d5e8e153a2f5ededde5c3692a7f20ca9cfd6bb04907dad8ef0993d5d9569f5f",
+    "spec-implicit-narrowed": "8ba9d816c74c5617939c3198ea2f4ae316671aad4a4c053384f9d480519ddfa4",
+    "spec-redundancy": "1c85b9c9baae2d66c4a804f9838c96b19ff8443e85ead3ae3e9fe02d3f4b3689",
+    "spec-closure-clause": "ad1ba3875a92767f79a19018cf07a808f77098b3d7d2ead1d90c4d164db9dfc7",
+    "spec-open": "69e8b8d289b7a56e2c2f9078591787f96e9f3f134815984b8c55bcbc99f17bec",
+    "spec-root-negated": "46cccca2200915aae40ed482f463f5ad80e7915dab1f9d2270e708fc609d7cdd",
+    "spec-everything": "a695aab49080b5f6324d3473df5d78a54188962a5e78009a99ee19e93beb642a",
 }
 
 
