@@ -289,6 +289,20 @@ def cmd_saturate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _print_exact(*values: object) -> None:
+    """Print integers of any size.  Python 3.10.7 and later refuse to
+    convert an int of over 4,300 digits to text by default; lift that
+    limit for this one print and put it back."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        print(*values)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
 def cmd_analyze(args: argparse.Namespace) -> int:
     actions = [args.paths, args.vars, args.depth_for is not None, args.combinations is not None]
     if sum(actions) != 1:
@@ -300,11 +314,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         if args.tree == "binary":
             raise ValueError("--paths counts the binomial tree only; drop --tree binary")
         rows = leaf_path_counts(args.k)
-        print(" ".join(map(str, rows)), "total", sum(rows))
+        _print_exact(*rows, "total", sum(rows))
         return 0
     binary = args.tree == "binary"
     if args.vars:
-        print(binary_var_count(args.k) if binary else binomial_var_count(args.k))
+        _print_exact(binary_var_count(args.k) if binary else binomial_var_count(args.k))
         return 0
     if args.depth_for is not None:
         print(binary_depth_for(args.depth_for) if binary else binomial_depth_for(args.depth_for))
@@ -312,7 +326,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if args.tree is not None:
         raise ValueError("--tree does not apply to --combinations")
     m, k = args.combinations
-    print(candidate_combinations(m, k))
+    _print_exact(candidate_combinations(m, k))
     return 0
 
 

@@ -2,6 +2,7 @@ import argparse
 import os
 import random
 import stat
+import sys
 
 import pytest
 
@@ -278,7 +279,7 @@ def test_analyze_paths(capsys):
     for tree in ((), ("--tree", "binomial")):
         code, out, _ = run_cli(capsys, "analyze", "--paths", "--k", "3", *tree)
         assert code == 0 and out == "1 3 3 1 total 8\n"
-    # Depths beyond the enumeration cap switch to the closed form.
+    # The rows are the closed form, so any depth answers at once.
     code, out, _ = run_cli(capsys, "analyze", "--paths", "--k", "30")
     assert code == 0
     assert out.startswith("1 30 435 ") and out.endswith("total 1073741824\n")
@@ -315,6 +316,29 @@ def test_analyze_vars_and_depths(capsys):
 def test_analyze_combinations(capsys):
     code, out, _ = run_cli(capsys, "analyze", "--combinations", "3", "4")
     assert code == 0 and out == "81\n"
+
+
+def decimal_value(text):
+    """The int a decimal string spells, read in chunks short enough for
+    any limit on int conversion."""
+    value = 0
+    for i in range(0, len(text), 1000):
+        chunk = text[i : i + 1000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return value
+
+
+@pytest.mark.parametrize("argv, value", [
+    (("--combinations", "2", "20000"), 2**20000),
+    (("--vars", "--tree", "binary", "--k", "20000"), 2**20001 - 1),
+], ids=["combinations", "binary-vars"])
+def test_analyze_prints_results_over_the_digit_limit(capsys, argv, value):
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    code, out, err = run_cli(capsys, "analyze", *argv)
+    assert code == 0 and err == ""
+    assert out.endswith("\n") and decimal_value(out[:-1]) == value
+    assert len(out) > 6000
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
 
 def test_analyze_requires_exactly_one_action(capsys):
