@@ -10,7 +10,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Sequence
+from contextlib import contextmanager
+from typing import Iterator, Sequence
 
 from .bench import default_sweep_budget, export_csv, run_sweep, scatter_svg, summarize
 from .counts import (
@@ -23,23 +24,15 @@ from .counts import (
 )
 from .forge import (
     FAMILIES,
-    NamedLit,
-    RedundancySpec,
     TreeSpec,
     build_binomial_tree,
     build_multi_branching,
     parse_closure,
+    parse_implicit,
+    parse_redundancy,
+    parse_substitution,
 )
-from .formula import (
-    Clause,
-    CnfFormula,
-    DimacsError,
-    SlotVar,
-    make_clause,
-    parse_dimacs,
-    parse_var_name,
-    write_dimacs,
-)
+from .formula import Clause, CnfFormula, DimacsError, make_clause, parse_dimacs, write_dimacs
 from .oracle import brute_force_sat, dpll_sat
 from .resolution import (
     Budget,
@@ -55,47 +48,10 @@ def _budget(args: argparse.Namespace) -> Budget:
     return Budget(max_clauses=args.max_clauses, max_steps=args.max_steps, max_width=args.max_width)
 
 
-def _parse_node(text: str) -> tuple[int, int]:
-    try:
-        level, row = text.split(".")
-        return int(level), int(row)
-    except ValueError as exc:
-        raise ValueError(f"expected a node as LEVEL.ROW, got {text!r}") from exc
-
-
-def _parse_sub(text: str) -> tuple[SlotVar, NamedLit]:
-    slot_text, _, lit_text = text.partition("=")
-    if not lit_text:
-        raise ValueError(f"expected a substitution as SLOT=LIT, got {text!r}")
-    slot = parse_var_name(slot_text)
-    if not isinstance(slot, SlotVar):
-        raise ValueError(f"substitutions bind slot variables, got {slot_text!r}")
-    return slot, NamedLit.parse(lit_text)
-
-
-def _parse_implicit(text: str) -> tuple[tuple[int, int], SlotVar]:
-    node_text, _, via_text = text.partition("=")
-    if not via_text:
-        raise ValueError(f"expected an implicit node as LEVEL.ROW=SLOT, got {text!r}")
-    via = parse_var_name(via_text)
-    if not isinstance(via, SlotVar):
-        raise ValueError(f"the via variable must be a slot, got {via_text!r}")
-    return _parse_node(node_text), via
-
-
-def _parse_redundancy(text: str) -> tuple[tuple[int, int], int]:
-    node_text, _, count_text = text.partition(":")
-    try:
-        count = int(count_text)
-    except ValueError as exc:
-        raise ValueError(f"expected redundancy as LEVEL.ROW:COUNT, got {text!r}") from exc
-    return _parse_node(node_text), count
-
-
 # The flags only one family reads, by that family.  Each defaults to
 # None, so a flag given to any other family is caught, not ignored.
 _OWN_FLAGS = {
-    "binomial": ("closure", "sub", "implicit", "redundancy", "negate_root", "seed"),
+    "binomial": ("closure", "sub", "implicit", "redundancy", "negate_root"),
     "multi-branching": ("k_sub",),
 }
 
@@ -118,17 +74,13 @@ def _family_formula(args: argparse.Namespace) -> CnfFormula:
         return build_multi_branching(k, 1 if args.k_sub is None else args.k_sub)
     if args.family != "binomial":
         return FAMILIES[args.family](k)
-    if args.seed is not None and not args.redundancy:
-        raise ValueError("--seed applies only with --redundancy")
+    closure = {} if args.closure is None else {"closure": parse_closure(args.closure)}
     spec = TreeSpec(
         k=k,
-        closure=parse_closure("alias:1" if args.closure is None else args.closure),
-        substitutions=tuple(_parse_sub(s) for s in args.sub or ()),
-        implicit_nodes=tuple(_parse_implicit(s) for s in args.implicit or ()),
-        redundancy=tuple(
-            RedundancySpec(node, count, args.seed or 0)
-            for node, count in (_parse_redundancy(s) for s in args.redundancy or ())
-        ),
+        **closure,
+        substitutions=tuple(map(parse_substitution, args.sub or ())),
+        implicit_nodes=tuple(map(parse_implicit, args.implicit or ())),
+        redundancy=tuple(map(parse_redundancy, args.redundancy or ())),
         root_negated=bool(args.negate_root),
     )
     return build_binomial_tree(spec)
@@ -195,14 +147,13 @@ def _add_family_flags(parser: argparse.ArgumentParser, required: bool) -> None:
     parser.add_argument(
         "--redundancy",
         action="append",
-        metavar="LEVEL.ROW:COUNT",
-        help="append seeded redundancy clauses for a node (repeatable)",
+        metavar="LEVEL.ROW:COUNT[:SEED]",
+        help="append COUNT redundancy clauses for a node, drawn by SEED (default 0; repeatable)",
     )
     parser.add_argument("--k-sub", type=int, help="subtree depth for multi-branching (default 1)")
     parser.add_argument(
         "--negate-root", action="store_true", default=None, help="enter the tree by the negated root"
     )
-    parser.add_argument("--seed", type=int, help="seed for seeded constructions (default 0)")
 
 
 def _add_budget_flags(parser: argparse.ArgumentParser, defaults: Budget) -> None:
@@ -283,24 +234,39 @@ def cmd_saturate(args: argparse.Namespace) -> int:
             return 1
         chain = decision_chain_of(result, cid)
         names = " ".join(_var_label(formula, v) for v in chain.resolved)
-        print(f"chain for ({clause}): length {chain.length}, resolved {names or '-'}")
+        print(f"chain for ({clause}): length {len(chain.resolved)}, resolved {names or '-'}")
         if args.dot is not None:
             _write_output(args.dot, export_chain_dot(result, cid))
     return 0
 
 
-def _print_exact(*values: object) -> None:
-    """Print integers of any size.  Python 3.10.7 and later refuse to
-    convert an int of over 4,300 digits to text by default; lift that
-    limit for this one print and put it back."""
+@contextmanager
+def _any_digits() -> Iterator[None]:
+    """Convert ints of any size to and from text.  Python 3.10.7 and
+    later refuse an int of over 4,300 digits by default; lift that limit
+    for the block and put it back."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if limit:
         sys.set_int_max_str_digits(0)
     try:
-        print(*values)
+        yield
     finally:
         if limit:
             sys.set_int_max_str_digits(limit)
+
+
+def _print_exact(*values: object) -> None:
+    with _any_digits():
+        print(*values)
+
+
+def _exact_int(text: str) -> int:
+    """argparse's int, for any number of digits."""
+    with _any_digits():
+        try:
+            return int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -321,7 +287,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         _print_exact(binary_var_count(args.k) if binary else binomial_var_count(args.k))
         return 0
     if args.depth_for is not None:
-        print(binary_depth_for(args.depth_for) if binary else binomial_depth_for(args.depth_for))
+        n = args.depth_for
+        _print_exact(binary_depth_for(n) if binary else binomial_depth_for(n))
         return 0
     if args.tree is not None:
         raise ValueError("--tree does not apply to --combinations")
@@ -383,7 +350,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="counts and closed forms")
     p.add_argument("--paths", action="store_true", help="path counts per boundary row")
     p.add_argument("--vars", action="store_true", help="variable count of a tree")
-    p.add_argument("--depth-for", type=int, metavar="N", help="largest depth whose tree fits N variables")
+    p.add_argument("--depth-for", type=_exact_int, metavar="N", help="largest depth whose tree fits N variables")
     p.add_argument("--combinations", type=int, nargs=2, metavar=("M", "K"), help="selection combinations")
     p.add_argument("--k", type=int, help="depth for --paths/--vars")
     p.add_argument(

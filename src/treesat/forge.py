@@ -140,14 +140,14 @@ def _emit_triple(em: _Emitter, entry: int, a: int, b: int) -> None:
 
     Over three distinct variables the switching clauses are the canonical
     tuple of (entry a b) with the sign of b, then of a, flipped.  Fewer
-    variables mean a substitution or implicit node merged two of them, and
-    `add` raises on the tautology that follows."""
+    variables mean a substitution or implicit node merged two of them,
+    and one of the three clauses is then a tautology."""
     lits = sorted((entry, a, b), key=abs)
     if not abs(lits[0]) < abs(lits[1]) < abs(lits[2]):
-        em.add(entry, a, b)
-        em.add(entry, a, -b)
-        em.add(entry, -a, b)
-        return
+        raise ValueError(
+            "a substitution or implicit node makes a generated clause tautologous: "
+            f"decision triple {entry} {a} {b}"
+        )
     first = tuple(lits)
     i, j = lits.index(a), lits.index(b)
     lits[j] = -b
@@ -189,6 +189,11 @@ def _emit_binomial(
         em.add(em.lit(SlotVar(k + 1, closure.row, tree), negated=True), root_lit)
 
 
+# Each recipe field is written to `c meta` in the text that its
+# `generate` flag reads, and the parsers below (with `NamedLit.parse`)
+# read it back.
+
+
 def _closure_text(closure: Closure) -> str:
     if isinstance(closure, Alias):
         return f"alias:{closure.row}"
@@ -206,6 +211,45 @@ def parse_closure(text: str) -> Closure:
     if kind == "clause" and row.isdigit():
         return ClosureClause(int(row))
     raise ValueError(f"bad closure {text!r}; expected alias:ROW, clause:ROW, or none")
+
+
+def _parse_node(text: str) -> tuple[int, int]:
+    try:
+        level, row = text.split(".")
+        return int(level), int(row)
+    except ValueError as exc:
+        raise ValueError(f"expected a node as LEVEL.ROW, got {text!r}") from exc
+
+
+def parse_substitution(text: str) -> tuple[SlotVar, NamedLit]:
+    slot_text, _, lit_text = text.partition("=")
+    if not lit_text:
+        raise ValueError(f"expected a substitution as SLOT=LIT, got {text!r}")
+    slot = parse_var_name(slot_text)
+    if not isinstance(slot, SlotVar):
+        raise ValueError(f"substitutions bind slot variables, got {slot_text!r}")
+    return slot, NamedLit.parse(lit_text)
+
+
+def parse_implicit(text: str) -> tuple[tuple[int, int], SlotVar]:
+    node_text, _, via_text = text.partition("=")
+    if not via_text:
+        raise ValueError(f"expected an implicit node as LEVEL.ROW=SLOT, got {text!r}")
+    via = parse_var_name(via_text)
+    if not isinstance(via, SlotVar):
+        raise ValueError(f"the via variable must be a slot, got {via_text!r}")
+    return _parse_node(node_text), via
+
+
+def parse_redundancy(text: str) -> RedundancySpec:
+    """LEVEL.ROW:COUNT[:SEED]; the seed defaults to 0."""
+    node_text, _, numbers = text.partition(":")
+    count_text, colon, seed_text = numbers.partition(":")
+    try:
+        count, seed = int(count_text), int(seed_text) if colon else 0
+    except ValueError as exc:
+        raise ValueError(f"expected redundancy as LEVEL.ROW:COUNT[:SEED], got {text!r}") from exc
+    return RedundancySpec(_parse_node(node_text), count, seed)
 
 
 def _finish(em: _Emitter, metadata: dict[str, str]) -> CnfFormula:
@@ -305,7 +349,7 @@ def build_binomial_tree(spec: TreeSpec) -> CnfFormula:
         _add_redundancy(em, spec.k, root_lit, red)
     tags = {
         "redundancy": [f"{r.node[0]}.{r.node[1]}:{r.count}:{r.seed}" for r in spec.redundancy],
-        "implicit": [f"{level}.{row}:{via}" for (level, row), via in spec.implicit_nodes],
+        "implicit": [f"{level}.{row}={via}" for (level, row), via in spec.implicit_nodes],
     }
     return _finish(em, metadata | {key: ";".join(items) for key, items in tags.items() if items})
 
@@ -339,7 +383,7 @@ def compose_two_trees(k: int, closing: Closing) -> CnfFormula:
     flip = -1 if closing is Closing.CROSSED else 1
     _emit_binomial(em, k, root, Alias(1), alias_lit=flip * root, tree=0)
     _emit_binomial(em, k, -root, Alias(1), alias_lit=flip * -root, tree=1)
-    return _finish(em, {"family": "compose", "k": str(k), "closing": str(closing)})
+    return _finish(em, {"family": f"compose-{closing}", "k": str(k)})
 
 
 def build_multi_branching(k_top: int, k_sub: int = 1) -> CnfFormula:
@@ -365,7 +409,7 @@ def build_multi_branching(k_top: int, k_sub: int = 1) -> CnfFormula:
         branch_roots += [a, b]
     for j, branch in enumerate(branch_roots, start=1):
         _emit_binomial(em, k_sub, -branch, None, tree=j)
-    return _finish(em, {"family": "multi-branching", "k_top": str(k_top), "k_sub": str(k_sub)})
+    return _finish(em, {"family": "multi-branching", "k": str(k_top), "k_sub": str(k_sub)})
 
 
 # Every instance family by name, built from its depth k at default

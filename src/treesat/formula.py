@@ -67,9 +67,6 @@ class Clause:
         return " ".join(str(lit) for lit in self.lits) if self.lits else "<empty>"
 
 
-EMPTY_CLAUSE = Clause(())
-
-
 def make_clause(lits) -> Clause | None:
     """Build a canonical clause from literals, or None (a tautology) if a
     variable occurs in both polarities.  Duplicate literals collapse."""

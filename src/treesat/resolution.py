@@ -142,20 +142,11 @@ class SaturationResult:
 
 @dataclass(frozen=True)
 class DecisionChain:
-    """Resolved variables of one derivation, in left-to-right order, plus
-    the variables still connected (those of the derived clause)."""
+    """A derived clause and the variables resolved away along its
+    derivation, in left-to-right order."""
 
     clause: Clause
     resolved: tuple[int, ...]
-    connected: frozenset[int]
-
-    @property
-    def length(self) -> int:
-        return len(self.resolved)
-
-    @property
-    def is_generalized_unit(self) -> bool:
-        return len(self.connected) == 1
 
 
 def resolve(c1: Clause, c2: Clause, var: int) -> Clause | None:
@@ -340,8 +331,7 @@ def decision_chain_of(result: SaturationResult, clause_id: int) -> DecisionChain
     for cid in ancestors:
         step = step_for.get(cid)
         chain[cid] = () if step is None else chain[step.left] + chain[step.right] + (step.var,)
-    clause = result.store[clause_id]
-    return DecisionChain(clause, chain[clause_id], frozenset(clause.variables()))
+    return DecisionChain(result.store[clause_id], chain[clause_id])
 
 
 def is_dominant_by_resolution(

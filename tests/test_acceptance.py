@@ -47,10 +47,6 @@ def test_criterion_08_implicit_decision_clause():
     _criterion(8, "implicit-decision")
 
 
-def test_criterion_09_combination_counts():
-    _criterion(9, "combination-counts")
-
-
 def test_criterion_10_engine_trustworthiness():
     _criterion(10, "engine-trustworthiness")
 

@@ -66,6 +66,13 @@ def test_run_one_isolates_phase_failures(monkeypatch):
     assert record.dpll_verdict == "sat"
 
 
+def test_run_one_records_a_dpll_failure(monkeypatch):
+    monkeypatch.setattr(bench, "dpll_sat", lambda f: (_ for _ in ()).throw(RecursionError))
+    record = run_one("unit-chain", 3, 0, default_sweep_budget())
+    assert record.saturation_status == "saturated"
+    assert (record.dpll_verdict, record.dpll_nodes) == ("error:RecursionError", 0)
+
+
 def test_run_sweep_shape_and_order():
     records = run_sweep(["unit-chain", "binary"], range(2, 4), repetitions=2)
     assert len(records) == 8

@@ -8,6 +8,7 @@ import pytest
 
 from treesat.bench import run_sweep, scatter_svg
 from treesat.cli import _build_parser, main
+from treesat.counts import binary_depth_for, binomial_depth_for
 from treesat.forge import (
     FAMILIES,
     Closing,
@@ -69,7 +70,7 @@ def test_generate_binomial_options_reach_the_recipe(capsys):
     assert code == 0
     assert "c meta closure clause:2" in out
     assert "c meta root neg" in out
-    assert "c meta implicit 2.1:s5.2" in out
+    assert "c meta implicit 2.1=s5.2" in out
 
 
 def test_generate_rejects_a_substitution_on_another_trees_slot(capsys):
@@ -85,7 +86,22 @@ def test_generate_rejects_a_non_integer_redundancy_count(capsys):
         capsys, "generate", "--family", "binomial", "--k", "3", "--redundancy", "1.1:x"
     )
     assert code == 2 and out == ""
-    assert err == "error: expected redundancy as LEVEL.ROW:COUNT, got '1.1:x'\n"
+    assert err == "error: expected redundancy as LEVEL.ROW:COUNT[:SEED], got '1.1:x'\n"
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--redundancy", "x:3"], "expected a node as LEVEL.ROW, got 'x'"),
+    (["--implicit", "2.1"], "expected an implicit node as LEVEL.ROW=SLOT, got '2.1'"),
+    (["--implicit", "1.1=z0"], "the via variable must be a slot, got 'z0'"),
+    # One literal in both pair slots of node (3, 2) keeps its first clause
+    # (e z) but makes the switching clause (e z ~z) tautologous.
+    (["--sub", "s4.2=z0", "--sub", "s4.3=z0"],
+     "a substitution or implicit node makes a generated clause tautologous: "
+     "decision triple -6 2 2"),
+])
+def test_generate_rejects_a_bad_recipe_item(capsys, flags, message):
+    code, out, err = run_cli(capsys, "generate", "--family", "binomial", "--k", "3", *flags)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_generate_requires_depth(capsys):
@@ -341,6 +357,20 @@ def test_analyze_prints_results_over_the_digit_limit(capsys, argv, value):
     assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
 
+def test_analyze_depth_for_reads_a_count_over_the_digit_limit(capsys):
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    nines = "9" * 5000
+    n = decimal_value(nines)
+    for tree, depth in (("binomial", binomial_depth_for(n)), ("binary", binary_depth_for(n))):
+        code, out, err = run_cli(capsys, "analyze", "--depth-for", nines, "--tree", tree)
+        assert (code, err) == (0, "") and decimal_value(out[:-1]) == depth
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--depth-for", "x"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith("argument --depth-for: invalid int value: 'x'\n")
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+
 def test_analyze_requires_exactly_one_action(capsys):
     code, _, err = run_cli(capsys, "analyze")
     assert code == 2 and "exactly one" in err
@@ -415,10 +445,10 @@ def test_every_subcommand_draws_families_from_the_registry(capsys):
              "--closure", "bogus", "--implicit", "9.9=s1.1"],
             "--closure applies only to --family binomial",
         ),
-        (["generate", "--family", "pair-chain", "--k", "3", "--seed", "4"],
-         "--seed applies only to --family binomial"),
-        (["generate", "--family", "binomial", "--k", "3", "--seed", "4"],
-         "--seed applies only with --redundancy"),
+        (["generate", "--family", "pair-chain", "--k", "3", "--redundancy", "1.1:2:4"],
+         "--redundancy applies only to --family binomial"),
+        (["generate", "--family", "compose-crossed", "--k", "3", "--sub", "s4.2=z0"],
+         "--sub applies only to --family binomial"),
         (["generate", "--family", "multi-branching", "--k", "3", "--negate-root"],
          "--negate-root applies only to --family binomial"),
         (["generate", "--family", "binomial", "--k", "3", "--k-sub", "2"],
@@ -528,9 +558,9 @@ def fuzz_family_flags(rng):
         "--closure": ["alias:1", "alias:3", "clause:2", "none", "alias", "pivot:1", "clause:0"],
         "--sub": ["s3.2=z0", "s3.3=~z0", "s4.2=z0", "x1.1=z0", "s3.1", "s2.2=~x1.1", "s3.2=q"],
         "--implicit": ["2.1=s4.2", "1.1=s3.3", "2.1=s3.1", "1.1=x1.1", "x=s3.1", "2.1", "1.1=s2.2"],
-        "--redundancy": ["1.1:3", "2.1:2", "1.1:0", "1.1:x", "3.1:1", "1.1:1000", "1.1"],
+        "--redundancy": ["1.1:3", "2.1:2", "1.1:0", "1.1:x", "3.1:1", "1.1:1000", "1.1",
+                         "1.1:3:7", "2.1:2:-2", "1.1:2:", "1.1:2:x"],
         "--k-sub": ["-1", "0", "1", "2"],
-        "--seed": ["0", "3", "-2"],
     }
     # Flags go to the family that reads them, except in one draw in ten,
     # which keeps the check that rejects another family's flag fuzzed.
@@ -582,7 +612,7 @@ def fuzz_argv(rng, tmp_path, n):
         if rng.random() < 0.3:
             argv += ["--tree", rng.choice(["binary", "binomial", "bogus"])]
     elif sub == "verify":
-        argv = rng.choice([[], ["--only"]]) + ["--only", rng.choice(["combination-counts", "bogus"])]
+        argv = rng.choice([[], ["--only"]]) + ["--only", rng.choice(["substitution-suite", "bogus"])]
     else:
         argv = [
             "--family", rng.choice(["unit-chain", "pair-chain", "bogus"]),

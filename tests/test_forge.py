@@ -216,8 +216,8 @@ def test_compose_two_trees_verdicts_and_shape():
         assert SlotVar(2, 1, tree=1) in f.atlas
     assert not dpll_sat(matched).is_sat
     assert dpll_sat(crossed).is_sat
-    assert matched.metadata["closing"] == "matched"
-    assert crossed.metadata["closing"] == "crossed"
+    assert matched.metadata == {"family": "compose-matched", "k": "2"}
+    assert crossed.metadata == {"family": "compose-crossed", "k": "2"}
     for closing in Closing:
         with pytest.raises(ValueError, match="at least 2, got 1"):
             compose_two_trees(1, closing)
@@ -227,7 +227,7 @@ def test_multi_branching_shape():
     f = build_multi_branching(2, 1)
     assert f.num_clauses == 21
     assert f.num_vars == 15
-    assert f.metadata == {"family": "multi-branching", "k_top": "2", "k_sub": "1"}
+    assert f.metadata == {"family": "multi-branching", "k": "2", "k_sub": "1"}
     assert dpll_sat(f).is_sat
     assert not is_dominant(f, 1)
     with pytest.raises(ValueError):
@@ -253,7 +253,7 @@ def test_implicit_node_drops_switching_and_keeps_meaning():
     right = base.atlas.id_of(SlotVar(3, 2))
     implicit = implicit_tree(4, (2, 1), SlotVar(5, 2))
     assert implicit.num_clauses == base.num_clauses - 2
-    assert implicit.metadata["implicit"] == "2.1:s5.2"
+    assert implicit.metadata["implicit"] == "2.1=s5.2"
     dropped = {Clause(tuple(sorted((-entry, left, -right), key=abs))),
                Clause(tuple(sorted((-entry, -left, right), key=abs)))}
     assert dropped & set(base.clauses) == dropped
@@ -333,7 +333,7 @@ def test_redundancy_validation():
         redundancy=(RedundancySpec((1, 1), 2, seed=1),),
     ))
     assert both.metadata["redundancy"] == "1.1:2:1"
-    assert both.metadata["implicit"] == "2.1:s5.2"
+    assert both.metadata["implicit"] == "2.1=s5.2"
     assert is_dominant(both, 1)
 
 

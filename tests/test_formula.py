@@ -3,7 +3,6 @@ import random
 import pytest
 
 from treesat.formula import (
-    EMPTY_CLAUSE,
     Atlas,
     BinaryVar,
     ChainVar,
@@ -42,14 +41,14 @@ def test_clause_properties():
     assert c.variables() == (1, 3)
     assert -3 in c.lits and 3 not in c.lits
     assert str(c) == "1 -3"
-    assert EMPTY_CLAUSE.width == 0 and str(EMPTY_CLAUSE) == "<empty>"
+    assert Clause(()).width == 0 and str(Clause(())) == "<empty>"
 
 
 def test_make_clause_sorts_merges_and_detects_tautology():
     assert make_clause([3, 1, -2]) == Clause((1, -2, 3))
     assert make_clause([2, 2, -1]) == Clause((-1, 2))
     assert make_clause([1, -1]) is None
-    assert make_clause([]) == EMPTY_CLAUSE
+    assert make_clause([]) == Clause(())
 
 
 def test_var_name_str_parse_round_trip():
@@ -168,6 +167,11 @@ def test_parse_dimacs_plain_file_without_comments():
     assert len(f.atlas) == 0 and f.metadata == {}
 
 
+def test_parse_dimacs_skips_blank_lines():
+    f = parse_dimacs("\n\np cnf 2 1\n  \n1 -2 0\n\n")
+    assert f == build_formula([Clause((1, -2))], 2)
+
+
 def test_parse_dimacs_multiline_and_multi_clause_lines():
     f = parse_dimacs("p cnf 2 2\n1\n2 0 -1 0\n")
     assert f.clauses == (Clause((1, 2)), Clause((-1,)))
@@ -196,6 +200,8 @@ def test_parse_dimacs_duplicate_clauses_counted_against_header():
         ("c var 1 z0\nc var 2 z0\np cnf 2 1\n1 0\n", "line 2: variable name z0 already given on line 1"),
         ("c var 1 z0\nc var 1 z1\np cnf 1 1\n1 0\n", "line 2: variable id 1 already named on line 1"),
         ("p cnf 5 2\n5 0\np cnf 1 2\n1 0\n", "line 3: second header"),
+        ("p cnf x 1\n1 0\n", "line 1: malformed header 'p cnf x 1'"),
+        ("c var 1 x1.1\nc var 2 z0\np cnf 1 1\n1 0\n", "atlas id 2 above declared count 1"),
     ],
 )
 def test_parse_dimacs_rejects_malformed_input(text, fragment):

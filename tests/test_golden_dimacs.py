@@ -2,15 +2,17 @@
 
 Each case is a generated formula and the SHA-256 of its `write_dimacs`
 text.  The digests were taken from the generators before their emission
-loops were rewritten for speed, and then with the `c meta` lines of
-derived counts removed from that text, so any change to clause order,
-literal order, atlas, metadata or formatting fails here.
+loops were rewritten for speed, then with the `c meta` lines of derived
+counts removed from that text, and then with each `c meta` value
+rewritten into the form its `generate` flag reads.  So any change to
+clause order, literal order, atlas, metadata or formatting fails here.
 """
 
 import hashlib
 
 import pytest
 
+from treesat.cli import main
 from treesat.counts import count_paths
 from treesat.forge import (
     FAMILIES,
@@ -21,6 +23,10 @@ from treesat.forge import (
     TreeSpec,
     build_binomial_tree,
     build_multi_branching,
+    parse_closure,
+    parse_implicit,
+    parse_redundancy,
+    parse_substitution,
 )
 from treesat.formula import FreshVar, RootVar, SlotVar, parse_dimacs, write_dimacs
 
@@ -106,15 +112,27 @@ def test_write_dimacs_matches_the_pinned_digest(name):
     assert write_dimacs(parse_dimacs(text)) == text
 
 
-RECIPE_KEYS = {
-    "family", "k", "closure", "root", "substitutions", "implicit", "redundancy",
-    "closing", "k_top", "k_sub",
-}
+RECIPE_KEYS = {"family", "k", "closure", "root", "substitutions", "implicit", "redundancy", "k_sub"}
 
 
 @pytest.mark.parametrize("name", CASES)
 def test_metadata_records_only_the_recipe(name):
     assert set(CASES[name]().metadata) <= RECIPE_KEYS
+
+
+@pytest.mark.parametrize("name", SPECS)
+def test_each_recipe_field_reads_back_as_written(name):
+    spec = SPECS[name]
+    metadata = build_binomial_tree(spec).metadata
+
+    def items(key):
+        return metadata[key].split(";") if key in metadata else []
+
+    assert parse_closure(metadata["closure"]) == spec.closure
+    assert tuple(map(parse_substitution, items("substitutions"))) == spec.substitutions
+    assert tuple(map(parse_implicit, items("implicit"))) == spec.implicit_nodes
+    assert tuple(map(parse_redundancy, items("redundancy"))) == spec.redundancy
+    assert items("root") == (["neg"] if spec.root_negated else [])
 
 
 @pytest.mark.parametrize("name", CASES)
@@ -123,3 +141,32 @@ def test_count_paths_ends_on_every_case(name):
     root = formula.atlas.id_of(RootVar())
     for entry in (root, -root):
         assert all(paths > 0 for paths in count_paths(formula, entry).values())
+
+
+# The `generate` flag that reads each `c meta` key's value; the value of
+# a repeatable flag is its items joined by `;`, and `root neg` is
+# `--negate-root`.
+FLAGS = {
+    "family": "--family", "k": "--k", "closure": "--closure", "k_sub": "--k-sub",
+    "substitutions": "--sub", "implicit": "--implicit", "redundancy": "--redundancy",
+}
+REPEATABLE = {"substitutions", "implicit", "redundancy"}
+
+
+def generate_argv(metadata):
+    argv = ["generate"]
+    for key, value in metadata.items():
+        if key == "root":
+            assert value == "neg"
+            argv.append("--negate-root")
+            continue
+        for item in value.split(";") if key in REPEATABLE else [value]:
+            argv += [FLAGS[key], item]
+    return argv
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_generate_rebuilds_each_case_from_its_metadata(capsys, name):
+    text = write_dimacs(CASES[name]())
+    assert main(generate_argv(parse_dimacs(text).metadata)) == 0
+    assert capsys.readouterr().out == text

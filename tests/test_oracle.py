@@ -3,7 +3,7 @@ import random
 import pytest
 
 from treesat.forge import FAMILIES, build_unit_chain, compose_two_trees, Closing
-from treesat.formula import EMPTY_CLAUSE, Clause, build_formula, make_clause
+from treesat.formula import Clause, build_formula, make_clause
 from treesat.oracle import (
     BRUTE_FORCE_VAR_CAP,
     OracleVerdict,
@@ -216,7 +216,7 @@ def test_dpll_searches_deeper_than_the_recursion_limit():
 
 
 def test_oracles_agree_on_an_empty_clause():
-    f = build_formula([Clause((1, 2)), EMPTY_CLAUSE])
+    f = build_formula([Clause((1, 2)), Clause(())])
     assert not brute_force_sat(f).is_sat
     assert not dpll_sat(f).is_sat
     assert not is_dominant(f, 1)

@@ -15,7 +15,7 @@ from treesat.forge import (
     compose_two_trees,
 )
 from treesat.formula import (
-    Clause, EMPTY_CLAUSE, RootVar, build_formula, make_clause,
+    Clause, RootVar, build_formula, make_clause,
 )
 from treesat.oracle import dpll_sat, entails
 from treesat.resolution import (
@@ -36,7 +36,7 @@ from treesat.resolution import (
 def test_resolve_produces_canonical_resolvent():
     assert resolve(Clause((1, 2)), Clause((-2, 3)), 2) == Clause((1, 3))
     assert resolve(Clause((-2, 3)), Clause((1, 2)), 2) == Clause((1, 3))
-    assert resolve(Clause((1,)), Clause((-1,)), 1) == EMPTY_CLAUSE
+    assert resolve(Clause((1,)), Clause((-1,)), 1) == Clause(())
 
 
 def test_resolve_detects_tautologies_and_bad_parents():
@@ -84,9 +84,9 @@ def test_resolve_agrees_with_the_literal_merge_reference():
 def test_saturate_unit_pair_derives_empty_clause():
     result = saturate(build_formula([Clause((1,)), Clause((-1,))]))
     assert result.status is SaturationStatus.EMPTY_DERIVED
-    assert result.store == (Clause((1,)), Clause((-1,)), EMPTY_CLAUSE)
+    assert result.store == (Clause((1,)), Clause((-1,)), Clause(()))
     assert result.trace == (ResolutionStep(0, 1, 1, 2),)
-    assert result.clause_id(EMPTY_CLAUSE) == 2
+    assert result.clause_id(Clause(())) == 2
 
 
 def test_saturate_unit_chain_reaches_fixpoint():
@@ -305,7 +305,7 @@ def test_step_budget_trips_inside_a_multi_clash_pair():
 
 
 def test_empty_clause_among_originals_short_circuits():
-    result = saturate(build_formula([EMPTY_CLAUSE, Clause((1,))]))
+    result = saturate(build_formula([Clause(()), Clause((1,))]))
     assert result.status is SaturationStatus.EMPTY_DERIVED
     assert result.stopped_by is None
     assert result.counters.steps == 0
@@ -344,9 +344,6 @@ def test_decision_chain_of_the_derived_unit():
     chain = decision_chain_of(result, unit_id)
     assert chain.clause == Clause((1,))
     assert chain.resolved == (2, 3)
-    assert chain.length == 2
-    assert chain.connected == frozenset({1})
-    assert chain.is_generalized_unit
 
 
 def test_decision_chain_lengths_scale_with_chain_size():
@@ -354,17 +351,21 @@ def test_decision_chain_lengths_scale_with_chain_size():
         result = saturate(build_unit_chain(k))
         unit_id = result.clause_id(Clause((1,)))
         assert unit_id is not None
-        assert decision_chain_of(result, unit_id).length == k - 1
+        assert len(decision_chain_of(result, unit_id).resolved) == k - 1
 
 
 def test_decision_chain_of_original_and_empty():
     result = saturate(build_formula([Clause((1,)), Clause((-1,))]))
     original = decision_chain_of(result, 0)
-    assert original.resolved == () and original.connected == frozenset({1})
+    assert original.resolved == () and original.clause == Clause((1,))
     empty = decision_chain_of(result, 2)
-    assert empty.resolved == (1,) and not empty.connected
+    assert empty.resolved == (1,) and empty.clause == Clause(())
     with pytest.raises(ValueError):
         decision_chain_of(result, 99)
+
+
+def test_dominance_verdicts_print_as_their_values():
+    assert [str(v) for v in ResolutionDominance] == ["dominant", "not-shown", "budget-exhausted"]
 
 
 def test_dominance_by_resolution():
@@ -448,9 +449,9 @@ def test_goal_stops_at_an_original_clause_and_at_the_empty_clause():
     assert result.status is SaturationStatus.GOAL_DERIVED
     assert result.counters.steps == 0
     assert not result.derived
-    refuted = saturate(build_formula([Clause((1,)), Clause((-1,))]), Budget(goal=EMPTY_CLAUSE))
+    refuted = saturate(build_formula([Clause((1,)), Clause((-1,))]), Budget(goal=Clause(())))
     assert refuted.status is SaturationStatus.EMPTY_DERIVED
-    assert refuted.derived == (EMPTY_CLAUSE,)
+    assert refuted.derived == (Clause(()),)
 
 
 def test_goal_never_derived_leaves_the_run_unchanged():
