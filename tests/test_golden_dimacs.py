@@ -85,23 +85,23 @@ DIGESTS = {
     "binary-9": "18a49da6377d7a6db7352e02e9cb011802ddc6f8ac29099e54e3b16cad4d9b7a",
     "binomial-3": "7b4d0eb2f397dc37dc340a5ace00808c47728190c328c37c89f63a4c4cf768b8",
     "binomial-9": "c283b0724889e1ae43707bb9c9b5d365690fd2c7a265eb866049b54d1de65ce2",
-    "compose-matched-3": "ddba93da09e5b3b6b9d0c5716d5ad6091f3749beab10ab7e3e67af708a2a48bb",
-    "compose-matched-9": "e34930d8fb989bd7d3871ecdd6cabd600fb69fda4189776f43f7cc3db914bce0",
-    "compose-crossed-3": "6f280c86e3443952fad73f0d5132c64de73f254da1cad63ad3439ca208d20721",
-    "compose-crossed-9": "5400e3bb974a01137326755e6d8d43172ed0d9486f06e6bb38503b58fbb418bc",
-    "multi-branching-3": "c5e7d3bd2167d6ef8798aeee8b45a12d3ebde89640106865a4e364c2e69db9b0",
-    "multi-branching-9": "e71da3fc16aef3e335f421e7a2b4e40500115ba1ba898de4e9c5465d3b7ee20f",
-    "multi-branching-3-sub-4": "e9a0c4f133aea776b5f500f1f11a41be85a084297673224bb231349b3e415597",
+    "compose-matched-3": "1f6b282bfe9fae5005e3df6c28819936ac51f0d898f8d0313a9bbeeec6ac50ca",
+    "compose-matched-9": "46b05d02403121fde02abdd4683aa21dcb41c91f3288fa5ee66277154a3dce99",
+    "compose-crossed-3": "d6d062bb02c913cff57e8685956dc7fd6ef34fb42a41d837ddb2b9c82cbc3057",
+    "compose-crossed-9": "23bef8e9091754ff3c6afe824977f10bf7cef66455b60d53f4d7a478673b3029",
+    "multi-branching-3": "5fa924cfc07a2a6984bed82bd73d1a63a0e5a0627e8a10fd1eeaf0af12f92e37",
+    "multi-branching-9": "b399e70dffe7ca5ef4b5ddbca0bb29f24ce22bd1f08f127e369958a198bdd721",
+    "multi-branching-3-sub-4": "2e0c0760d49e4c895d40cd49274e2ccc9dafbf894ca84e478b2f5dd3805c1f77",
     "spec-substitutions": "559c43ad1196785f14b2b57eab9cafc47985adc1b15b429a4f9a0eaa98d313c8",
     "spec-substitution-by-root": "17ec3312e834409a574c346d238a60ec84fd435aac8cbfe376588ad81a722ca0",
     "spec-substitution-same-literal": "375663cb143bd8d669797390b963bb908bbf6bfe6e8591f2e354f198357a83a3",
-    "spec-implicit": "7d5e8e153a2f5ededde5c3692a7f20ca9cfd6bb04907dad8ef0993d5d9569f5f",
-    "spec-implicit-narrowed": "8ba9d816c74c5617939c3198ea2f4ae316671aad4a4c053384f9d480519ddfa4",
+    "spec-implicit": "9a4a27b97277f7ba8fbd2e5c0c43929a874aa73f4ab214e82decfda305ab34db",
+    "spec-implicit-narrowed": "3b2c3dc3f0ccdcf7e123dec96b737dbd6bda7a1584388f5547bd5bee076942f4",
     "spec-redundancy": "1c85b9c9baae2d66c4a804f9838c96b19ff8443e85ead3ae3e9fe02d3f4b3689",
     "spec-closure-clause": "ad1ba3875a92767f79a19018cf07a808f77098b3d7d2ead1d90c4d164db9dfc7",
     "spec-open": "69e8b8d289b7a56e2c2f9078591787f96e9f3f134815984b8c55bcbc99f17bec",
     "spec-root-negated": "46cccca2200915aae40ed482f463f5ad80e7915dab1f9d2270e708fc609d7cdd",
-    "spec-everything": "a695aab49080b5f6324d3473df5d78a54188962a5e78009a99ee19e93beb642a",
+    "spec-everything": "68f8b607b896d5c125c8561a32d2b1493450632e4b1c8d4c501eddf3e9f6e969",
 }
 
 
