@@ -112,7 +112,15 @@ def test_write_dimacs_matches_the_pinned_digest(name):
     assert write_dimacs(parse_dimacs(text)) == text
 
 
-RECIPE_KEYS = {"family", "k", "closure", "root", "substitutions", "implicit", "redundancy", "k_sub"}
+# The `generate` flag that reads each `c meta` key's value; the value of
+# a repeatable flag is its items joined by `;`, and `root neg` is
+# `--negate-root`.
+FLAGS = {
+    "family": "--family", "k": "--k", "closure": "--closure", "k_sub": "--k-sub",
+    "substitutions": "--sub", "implicit": "--implicit", "redundancy": "--redundancy",
+}
+REPEATABLE = {"substitutions", "implicit", "redundancy"}
+RECIPE_KEYS = {*FLAGS, "root"}
 
 
 @pytest.mark.parametrize("name", CASES)
@@ -141,16 +149,6 @@ def test_count_paths_ends_on_every_case(name):
     root = formula.atlas.id_of(RootVar())
     for entry in (root, -root):
         assert all(paths > 0 for paths in count_paths(formula, entry).values())
-
-
-# The `generate` flag that reads each `c meta` key's value; the value of
-# a repeatable flag is its items joined by `;`, and `root neg` is
-# `--negate-root`.
-FLAGS = {
-    "family": "--family", "k": "--k", "closure": "--closure", "k_sub": "--k-sub",
-    "substitutions": "--sub", "implicit": "--implicit", "redundancy": "--redundancy",
-}
-REPEATABLE = {"substitutions", "implicit", "redundancy"}
 
 
 def generate_argv(metadata):
