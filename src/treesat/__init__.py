@@ -8,15 +8,10 @@ for them."""
 
 from .formula import (
     Atlas,
-    BinaryVar,
-    ChainVar,
     Clause,
     CnfFormula,
     DimacsError,
-    FreshVar,
-    RootVar,
-    SlotVar,
-    VarName,
+    ROOT,
     build_formula,
     make_clause,
     parse_dimacs,

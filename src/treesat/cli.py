@@ -181,7 +181,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 def _var_label(formula: CnfFormula, vid: int) -> str:
     """A variable's atlas name, or its numeric id when the atlas (which
     DIMACS `c var` lines may fill only in part) does not name it."""
-    return str(formula.atlas.name_of(vid)) if vid <= len(formula.atlas) else str(vid)
+    return formula.atlas.name_of(vid) if vid <= len(formula.atlas) else str(vid)
 
 
 def cmd_solve(args: argparse.Namespace) -> int:

@@ -20,18 +20,14 @@ from enum import Enum
 from typing import Callable
 
 from .formula import (
+    ROOT,
     Atlas,
-    BinaryVar,
-    ChainVar,
     Clause,
     CnfFormula,
-    FreshVar,
-    RootVar,
-    SlotVar,
-    VarName,
     build_formula,
     make_clause,
     parse_var_name,
+    slot_name,
 )
 
 
@@ -56,16 +52,19 @@ Closure = Alias | ClosureClause | None
 class NamedLit:
     """A literal over a named variable, before ids are assigned."""
 
-    name: VarName
+    name: str
     negated: bool = False
 
+    def __post_init__(self) -> None:
+        parse_var_name(self.name)
+
     def __str__(self) -> str:
-        return ("~" if self.negated else "") + str(self.name)
+        return ("~" if self.negated else "") + self.name
 
     @classmethod
     def parse(cls, text: str) -> NamedLit:
         negated = text.startswith("~")
-        return cls(parse_var_name(text[1:] if negated else text), negated)
+        return cls(text[1:] if negated else text, negated)
 
 
 @dataclass(frozen=True)
@@ -83,8 +82,8 @@ class TreeSpec:
 
     k: int = 3
     closure: Closure = Alias(1)
-    substitutions: tuple[tuple[SlotVar, NamedLit], ...] = ()
-    implicit_nodes: tuple[tuple[tuple[int, int], SlotVar], ...] = ()
+    substitutions: tuple[tuple[str, NamedLit], ...] = ()
+    implicit_nodes: tuple[tuple[tuple[int, int], str], ...] = ()
     redundancy: tuple[RedundancySpec, ...] = ()
     root_negated: bool = False
 
@@ -110,9 +109,9 @@ class _Emitter:
     def __init__(self) -> None:
         self.atlas = Atlas()
         self.clauses: list[Clause] = []
-        self.sub: dict[VarName, int | VarName] = {}
+        self.sub: dict[str, int | str] = {}
 
-    def lit(self, name: VarName, negated: bool = False) -> int:
+    def lit(self, name: str, negated: bool = False) -> int:
         target = self.sub.get(name)
         if target is None:
             resolved = self.atlas.register(name)
@@ -122,17 +121,22 @@ class _Emitter:
             resolved = self.lit(target)
         return -resolved if negated else resolved
 
-    def bind(self, name: VarName, target: int | VarName) -> None:
+    def bind(self, name: str, target: int | str) -> None:
         self.sub[name] = target
 
     def add(self, *lits: int) -> None:
         clause = make_clause(lits)
         if clause is None:
-            raise ValueError(
-                "a substitution or implicit node makes a generated clause tautologous: "
-                + " ".join(str(l) for l in lits)
-            )
+            raise self.tautology(lits)
         self.clauses.append(clause)
+
+    def tautology(self, lits, what: str = "") -> ValueError:
+        """The error for a generated clause that substitutions or implicit
+        nodes made tautologous, its literals written by atlas name."""
+        names = " ".join(("~" if l < 0 else "") + self.atlas.name_of(abs(l)) for l in lits)
+        return ValueError(
+            f"a substitution or implicit node makes a generated clause tautologous: {what}{names}"
+        )
 
 
 def _emit_triple(em: _Emitter, entry: int, a: int, b: int) -> None:
@@ -144,10 +148,7 @@ def _emit_triple(em: _Emitter, entry: int, a: int, b: int) -> None:
     and one of the three clauses is then a tautology."""
     lits = sorted((entry, a, b), key=abs)
     if not abs(lits[0]) < abs(lits[1]) < abs(lits[2]):
-        raise ValueError(
-            "a substitution or implicit node makes a generated clause tautologous: "
-            f"decision triple {entry} {a} {b}"
-        )
+        raise em.tautology((entry, a, b), "decision triple ")
     first = tuple(lits)
     i, j = lits.index(a), lits.index(b)
     lits[j] = -b
@@ -173,12 +174,12 @@ def _emit_binomial(
         if k == 1:
             # At k = 1 the alias would write the root into its own triple.
             raise ValueError("an alias closure needs depth at least 2 (use clause:ROW or none)")
-        em.bind(SlotVar(k + 1, closure.row, tree), alias_lit if alias_lit is not None else root_lit)
+        em.bind(slot_name(k + 1, closure.row, tree), alias_lit if alias_lit is not None else root_lit)
     # Each level's boundary slots are looked up once, in ascending row
     # order (the order that registers them), and enter the next level.
     entries = [root_lit]
     for level in range(1, k + 1):
-        slots = [em.lit(SlotVar(level + 1, row, tree)) for row in range(1, level + 2)]
+        slots = [em.lit(slot_name(level + 1, row, tree)) for row in range(1, level + 2)]
         for row, (entry, a, b) in enumerate(zip(entries, slots, slots[1:]), start=1):
             if (level, row) in implicit:
                 em.add(entry, a, b)
@@ -186,7 +187,7 @@ def _emit_binomial(
                 _emit_triple(em, entry, a, b)
         entries = [-slot for slot in slots]
     if isinstance(closure, ClosureClause):
-        em.add(em.lit(SlotVar(k + 1, closure.row, tree), negated=True), root_lit)
+        em.add(em.lit(slot_name(k + 1, closure.row, tree), negated=True), root_lit)
 
 
 # Each recipe field is written to `c meta` in the text that its
@@ -221,23 +222,25 @@ def _parse_node(text: str) -> tuple[int, int]:
         raise ValueError(f"expected a node as LEVEL.ROW, got {text!r}") from exc
 
 
-def parse_substitution(text: str) -> tuple[SlotVar, NamedLit]:
-    slot_text, _, lit_text = text.partition("=")
+def _is_slot(name: str) -> bool:
+    return parse_var_name(name)[0] in "st"
+
+
+def parse_substitution(text: str) -> tuple[str, NamedLit]:
+    slot, _, lit_text = text.partition("=")
     if not lit_text:
         raise ValueError(f"expected a substitution as SLOT=LIT, got {text!r}")
-    slot = parse_var_name(slot_text)
-    if not isinstance(slot, SlotVar):
-        raise ValueError(f"substitutions bind slot variables, got {slot_text!r}")
+    if not _is_slot(slot):
+        raise ValueError(f"substitutions bind slot variables, got {slot!r}")
     return slot, NamedLit.parse(lit_text)
 
 
-def parse_implicit(text: str) -> tuple[tuple[int, int], SlotVar]:
-    node_text, _, via_text = text.partition("=")
-    if not via_text:
+def parse_implicit(text: str) -> tuple[tuple[int, int], str]:
+    node_text, _, via = text.partition("=")
+    if not via:
         raise ValueError(f"expected an implicit node as LEVEL.ROW=SLOT, got {text!r}")
-    via = parse_var_name(via_text)
-    if not isinstance(via, SlotVar):
-        raise ValueError(f"the via variable must be a slot, got {via_text!r}")
+    if not _is_slot(via):
+        raise ValueError(f"the via variable must be a slot, got {via!r}")
     return _parse_node(node_text), via
 
 
@@ -267,7 +270,7 @@ def build_unit_chain(k: int) -> CnfFormula:
     if k < 2:
         raise ValueError("unit chain needs at least two variables")
     em = _Emitter()
-    ids = [em.lit(RootVar())] + [em.lit(ChainVar(i)) for i in range(2, k + 1)]
+    ids = [em.lit(ROOT)] + [em.lit(f"x{i}.1") for i in range(2, k + 1)]
     em.add(ids[0], ids[1])
     for i in range(1, k - 1):
         em.add(-ids[i], ids[i + 1])
@@ -285,15 +288,15 @@ def build_pair_chain(k: int) -> CnfFormula:
     if k < 2:
         raise ValueError("pair chain needs at least two steps")
     em = _Emitter()
-    root = em.lit(RootVar())
+    root = em.lit(ROOT)
     kept = root
     for i in range(2, k + 1):
         entry = kept if i == 2 else -kept
-        a = em.lit(ChainVar(i, 1))
-        b = em.lit(ChainVar(i, 2))
+        a = em.lit(f"x{i}.1")
+        b = em.lit(f"x{i}.2")
         _emit_triple(em, entry, a, b)
         kept = a
-    tail = em.lit(ChainVar(k + 1, 1))
+    tail = em.lit(f"x{k + 1}.1")
     _emit_triple(em, -kept, tail, root)
     return _finish(em, {"family": "pair-chain", "k": str(k)})
 
@@ -308,15 +311,15 @@ def build_binary_tree(k: int) -> CnfFormula:
     if k < 1:
         raise ValueError("binary tree depth must be at least 1")
     em = _Emitter()
-    root = em.lit(RootVar())
+    root = em.lit(ROOT)
     for level in range(1, k + 1):
         for index in range(1, 2**level + 1):
-            em.lit(BinaryVar(level, index))
+            em.lit(f"b{level}.{index}")
     for level in range(0, k):
         for index in range(1, 2**level + 1):
-            entry = root if level == 0 else em.lit(BinaryVar(level, index), negated=True)
-            a = em.lit(BinaryVar(level + 1, 2 * index - 1))
-            b = em.lit(BinaryVar(level + 1, 2 * index))
+            entry = root if level == 0 else em.lit(f"b{level}.{index}", negated=True)
+            a = em.lit(f"b{level + 1}.{2 * index - 1}")
+            b = em.lit(f"b{level + 1}.{2 * index}")
             _emit_triple(em, entry, a, b)
     return _finish(em, {"family": "binary", "k": str(k)})
 
@@ -328,7 +331,7 @@ def build_binomial_tree(spec: TreeSpec) -> CnfFormula:
     if spec.k < 1:
         raise ValueError("tree depth must be at least 1")
     em = _Emitter()
-    root = em.lit(RootVar())
+    root = em.lit(ROOT)
     root_lit = -root if spec.root_negated else root
     _apply_substitutions(em, spec)
     _bind_implicit(em, spec)
@@ -355,16 +358,18 @@ def build_binomial_tree(spec: TreeSpec) -> CnfFormula:
 
 
 def _apply_substitutions(em: _Emitter, spec: TreeSpec) -> None:
-    seen: set[SlotVar] = set()
+    if not spec.substitutions:
+        return
+    slots = {slot_name(b, r) for b in range(2, spec.k + 2) for r in range(1, b + 1)}
+    seen: set[str] = set()
     for slot, replacement in spec.substitutions:
-        in_tree = 2 <= slot.boundary <= spec.k + 1 and 1 <= slot.row <= slot.boundary
-        if slot.tree != 0 or not in_tree:
+        if slot not in slots:
             raise ValueError(f"substitution of a nonexistent slot {slot}")
         if slot in seen:
             raise ValueError(f"slot {slot} substituted twice")
-        if isinstance(spec.closure, Alias) and slot == SlotVar(spec.k + 1, spec.closure.row):
+        if isinstance(spec.closure, Alias) and slot == slot_name(spec.k + 1, spec.closure.row):
             raise ValueError(f"slot {slot} was aliased away by the closure")
-        if not isinstance(replacement.name, (RootVar, FreshVar)):
+        if replacement.name != ROOT and replacement.name[0] != "z":
             raise ValueError("replacement must be the root or a fresh variable")
         seen.add(slot)
         em.bind(slot, em.lit(replacement.name, replacement.negated))
@@ -379,7 +384,7 @@ def compose_two_trees(k: int, closing: Closing) -> CnfFormula:
         # At k = 1 the closure would alias the root into its own triple.
         raise ValueError(f"composition depth must be at least 2, got {k}")
     em = _Emitter()
-    root = em.lit(RootVar())
+    root = em.lit(ROOT)
     flip = -1 if closing is Closing.CROSSED else 1
     _emit_binomial(em, k, root, Alias(1), alias_lit=flip * root, tree=0)
     _emit_binomial(em, k, -root, Alias(1), alias_lit=flip * -root, tree=1)
@@ -396,15 +401,15 @@ def build_multi_branching(k_top: int, k_sub: int = 1) -> CnfFormula:
     if k_sub < 1:
         raise ValueError("subtree depth must be at least 1")
     em = _Emitter()
-    root = em.lit(RootVar())
+    root = em.lit(ROOT)
     _emit_binomial(em, k_top - 1, root, None)
     # Last top level: rows 2r-1 and 2r of the boundary namespace make the
     # pairs disjoint; each such variable roots an attached subtree.
     branch_roots: list[int] = []
     for row in range(1, k_top + 1):
-        entry = em.lit(SlotVar(k_top, row), negated=True)
-        a = em.lit(SlotVar(k_top + 1, 2 * row - 1))
-        b = em.lit(SlotVar(k_top + 1, 2 * row))
+        entry = em.lit(slot_name(k_top, row), negated=True)
+        a = em.lit(slot_name(k_top + 1, 2 * row - 1))
+        b = em.lit(slot_name(k_top + 1, 2 * row))
         _emit_triple(em, entry, a, b)
         branch_roots += [a, b]
     for j, branch in enumerate(branch_roots, start=1):
@@ -429,13 +434,13 @@ FAMILIES: dict[str, Callable[[int], CnfFormula]] = {
 # transforms applied while a pair-sharing tree is built
 
 
-def _cone_slots(node: tuple[int, int], k: int) -> list[SlotVar]:
+def _cone_slots(node: tuple[int, int], k: int) -> list[str]:
     """Boundary slots reachable from a node: rows fan out one per level."""
     level, row = node
     if not 1 <= row <= level <= k:
         raise ValueError(f"no node at level {level}, row {row} in a depth-{k} tree")
     return [
-        SlotVar(boundary, r)
+        slot_name(boundary, r)
         for boundary in range(level + 1, k + 2)
         for r in range(row, row + boundary - level + 1)
     ]
@@ -455,7 +460,7 @@ def _add_redundancy(em: _Emitter, k: int, root_lit: int, red: RedundancySpec) ->
     cone = [em.lit(s) for s in _cone_slots(red.node, k)]
     if level == k:
         raise ValueError(f"node {red.node} has no descendant nodes (leaf level)")
-    entry = root_lit if level == 1 else em.lit(SlotVar(level, row), negated=True)
+    entry = root_lit if level == 1 else em.lit(slot_name(level, row), negated=True)
     candidates = [(u, v) for i, u in enumerate(cone) for v in cone[i + 1 :]]
     candidates += [(-u, v) for u in cone for v in cone if u != v]
     random.Random(red.seed).shuffle(candidates)
@@ -492,10 +497,10 @@ def _bind_implicit(em: _Emitter, spec: TreeSpec) -> None:
             raise ValueError(f"node {node} made implicit twice")
         if via not in cone:
             raise ValueError(f"{via} is not a descendant boundary slot of node {node}")
-        if via == SlotVar(level + 1, row):
+        if via == slot_name(level + 1, row):
             raise ValueError("cannot alias the node's left slot to itself")
-        aliased = isinstance(spec.closure, Alias) and via == SlotVar(spec.k + 1, spec.closure.row)
+        aliased = isinstance(spec.closure, Alias) and via == slot_name(spec.k + 1, spec.closure.row)
         if via in em.sub or aliased:
             raise ValueError(f"{via} was already substituted or aliased away")
         seen.add(node)
-        em.bind(via, SlotVar(level + 1, row))
+        em.bind(via, slot_name(level + 1, row))

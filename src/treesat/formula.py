@@ -3,7 +3,7 @@
 Literals are DIMACS-style signed integers: variable ids are positive, a
 negative sign means negation.  A clause is a canonical tuple of such
 literals (sorted by variable id, no duplicates, never both polarities).
-Formulas carry an atlas mapping structured variable names to ids plus
+Formulas carry an atlas mapping variable names to ids plus
 free-form metadata; both survive a DIMACS round trip through comment
 lines written before the header:
 
@@ -60,9 +60,6 @@ class Clause:
     def width(self) -> int:
         return len(self.lits)
 
-    def variables(self) -> tuple[int, ...]:
-        return tuple(abs(lit) for lit in self.lits)
-
     def __str__(self) -> str:
         return " ".join(str(lit) for lit in self.lits) if self.lits else "<empty>"
 
@@ -82,119 +79,49 @@ def make_clause(lits) -> Clause | None:
 
 # ---------------------------------------------------------------------------
 # variable names
+#
+# A variable name is its text, in one spelling (no leading zeros, tree 0
+# unwritten): the root x1.1, chain variables xSTEP.1 and xSTEP.2 from
+# step 2, tree slots sBOUNDARY.ROW from boundary 2 (tT.sBOUNDARY.ROW in
+# attached or composed tree T >= 1), binary positions bLEVEL.INDEX with
+# 1 <= INDEX <= 2**LEVEL, and substitution variables zTAG.
 
-_NAME_PATTERNS = (
-    re.compile(r"^x(\d+)\.([12])$"),
-    re.compile(r"^(?:t(\d+)\.)?s(\d+)\.(\d+)$"),
-    re.compile(r"^b(\d+)\.(\d+)$"),
-    re.compile(r"^z(\d+)$"),
+ROOT = "x1.1"
+
+_NAME = re.compile(
+    r"x(?:1\.1|(?:[2-9]|[1-9]\d+)\.[12])"
+    r"|(?:t[1-9]\d*\.)?s(?:[2-9]|[1-9]\d+)\.[1-9]\d*"
+    r"|b([1-9]\d*)\.([1-9]\d*)"
+    r"|z(?:0|[1-9]\d*)",
+    re.ASCII,
 )
 
 
-@dataclass(frozen=True)
-class RootVar:
-    """The distinguished root variable; always registered first (id 1)."""
-
-    def __str__(self) -> str:
-        return "x1.1"
-
-
-@dataclass(frozen=True)
-class ChainVar:
-    """Chain variable at a chain step; slot 2 is the discarded pair member."""
-
-    step: int
-    slot: int = 1
-
-    def __post_init__(self) -> None:
-        if self.step < 2:
-            raise ValueError("chain steps start at 2 (step 1 is the root)")
-        if self.slot not in (1, 2):
-            raise ValueError("chain slot must be 1 or 2")
-
-    def __str__(self) -> str:
-        return f"x{self.step}.{self.slot}"
+def parse_var_name(text: str) -> str:
+    """Return `text` if it is a variable name in its one spelling, else
+    raise ValueError."""
+    m = _NAME.fullmatch(text)
+    # A binary index fits its level when index - 1 < 2**level.
+    if m is None or m[1] is not None and (int(m[2]) - 1).bit_length() > int(m[1]):
+        raise ValueError(f"unrecognized variable name {text!r}")
+    return text
 
 
-@dataclass(frozen=True)
-class SlotVar:
-    """Pair-boundary variable of a tree; `tree` namespaces attached or
-    composed trees (0 is the main tree)."""
-
-    boundary: int
-    row: int
-    tree: int = 0
-
-    def __post_init__(self) -> None:
-        if self.boundary < 2 or self.row < 1 or self.tree < 0:
-            raise ValueError(f"bad slot {self!r}")
-
-    def __str__(self) -> str:
-        base = f"s{self.boundary}.{self.row}"
-        return base if self.tree == 0 else f"t{self.tree}.{base}"
-
-
-@dataclass(frozen=True)
-class BinaryVar:
-    """Position variable of the perfect binary tree, by level and index."""
-
-    level: int
-    index: int
-
-    def __post_init__(self) -> None:
-        if self.level < 1 or not 1 <= self.index <= 2**self.level:
-            raise ValueError(f"bad binary position {self!r}")
-
-    def __str__(self) -> str:
-        return f"b{self.level}.{self.index}"
-
-
-@dataclass(frozen=True)
-class FreshVar:
-    """Substitution variable (the z of literal substitutions)."""
-
-    tag: int
-
-    def __post_init__(self) -> None:
-        if self.tag < 0:
-            raise ValueError("fresh tags are non-negative")
-
-    def __str__(self) -> str:
-        return f"z{self.tag}"
-
-
-VarName = RootVar | ChainVar | SlotVar | BinaryVar | FreshVar
-
-
-def parse_var_name(text: str) -> VarName:
-    """Inverse of str() for every VarName variant."""
-    if text == "x1.1":
-        return RootVar()
-    m = _NAME_PATTERNS[0].match(text)
-    if m:
-        return ChainVar(int(m.group(1)), int(m.group(2)))
-    m = _NAME_PATTERNS[1].match(text)
-    if m:
-        tree = int(m.group(1)) if m.group(1) else 0
-        return SlotVar(int(m.group(2)), int(m.group(3)), tree)
-    m = _NAME_PATTERNS[2].match(text)
-    if m:
-        return BinaryVar(int(m.group(1)), int(m.group(2)))
-    m = _NAME_PATTERNS[3].match(text)
-    if m:
-        return FreshVar(int(m.group(1)))
-    raise ValueError(f"unrecognized variable name {text!r}")
+def slot_name(boundary: int, row: int, tree: int = 0) -> str:
+    """Pair-boundary slot of a tree; tree 0 is the main tree."""
+    base = f"s{boundary}.{row}"
+    return base if tree == 0 else f"t{tree}.{base}"
 
 
 class Atlas:
-    """Injective map between structured variable names and 1-based ids,
-    in registration order."""
+    """Injective map between variable names and 1-based ids, in
+    registration order."""
 
     def __init__(self) -> None:
-        self._ids: dict[VarName, int] = {}
-        self._names: list[VarName] = []
+        self._ids: dict[str, int] = {}
+        self._names: list[str] = []
 
-    def register(self, name: VarName) -> int:
+    def register(self, name: str) -> int:
         """Return the id for `name`, assigning the next id if new."""
         vid = self._ids.get(name)
         if vid is None:
@@ -203,13 +130,13 @@ class Atlas:
             self._names.append(name)
         return vid
 
-    def id_of(self, name: VarName) -> int:
+    def id_of(self, name: str) -> int:
         return self._ids[name]
 
-    def name_of(self, vid: int) -> VarName:
+    def name_of(self, vid: int) -> str:
         return self._names[vid - 1]
 
-    def __contains__(self, name: VarName) -> bool:
+    def __contains__(self, name: str) -> bool:
         return name in self._ids
 
     def __len__(self) -> int:
@@ -319,8 +246,8 @@ def parse_dimacs(text: str) -> CnfFormula:
     """
     metadata: dict[str, str] = {}
     atlas = Atlas()
-    atlas_ids: dict[int, VarName] = {}
-    name_lines: dict[VarName, int] = {}
+    atlas_ids: dict[int, str] = {}
+    name_lines: dict[str, int] = {}
     id_lines: dict[int, int] = {}
     num_vars = num_clauses = -1
     clauses: list[Clause] = []

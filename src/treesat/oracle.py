@@ -249,8 +249,8 @@ def is_dominant(formula: CnfFormula, lit: int, oracle=dpll_sat) -> bool:
 def entails(formula: CnfFormula, clause: Clause, oracle=dpll_sat) -> bool:
     """True iff every model of the formula satisfies `clause` (checked by
     refuting formula plus the negated clause literals)."""
-    for var in clause.variables():
-        if var > formula.num_vars:
-            raise ValueError(f"variable {var} not in formula")
+    for lit in clause.lits:
+        if abs(lit) > formula.num_vars:
+            raise ValueError(f"variable {abs(lit)} not in formula")
     negated = [make_clause([-l]) for l in clause.lits]
     return not oracle(formula.with_extra(negated)).is_sat

@@ -37,16 +37,7 @@ from .forge import (
     build_unit_chain,
     compose_two_trees,
 )
-from .formula import (
-    BinaryVar,
-    ChainVar,
-    Clause,
-    FreshVar,
-    RootVar,
-    SlotVar,
-    build_formula,
-    make_clause,
-)
+from .formula import ROOT, Clause, build_formula, make_clause, slot_name
 from .oracle import Verdict, brute_force_sat, dpll_sat, entails, is_dominant
 from .resolution import (
     Budget,
@@ -116,7 +107,7 @@ def format_report(results: Sequence[CheckResult]) -> str:
 def _check_unit_chain() -> tuple[bool, str]:
     for k in range(2, 9):
         formula = build_unit_chain(k)
-        root = formula.atlas.id_of(RootVar())
+        root = formula.atlas.id_of(ROOT)
         result = saturate(formula)
         cid = result.clause_id(Clause((root,)))
         if cid is None:
@@ -135,13 +126,13 @@ def _check_unit_chain() -> tuple[bool, str]:
 def _check_pair_chain() -> tuple[bool, str]:
     for k in range(2, 7):
         formula = build_pair_chain(k)
-        root = formula.atlas.id_of(RootVar())
+        root = formula.atlas.id_of(ROOT)
         if not dpll_sat(formula).is_sat:
             return False, f"k={k}: formula unexpectedly unsatisfiable"
         if not is_dominant(formula, root):
             return False, f"k={k}: root not dominant"
         if k >= 3:
-            hop = formula.atlas.id_of(ChainVar(3, 1))
+            hop = formula.atlas.id_of("x3.1")
             link = Clause((root, hop))
             result = saturate(formula, Budget(max_clauses=20_000, max_steps=200_000, goal=link))
             cid = result.clause_id(link)
@@ -158,17 +149,17 @@ def _check_path_counts() -> tuple[bool, str]:
     for k in range(1, 25):
         for closure in (None, Alias(1)) if k >= 2 else (None,):
             formula = build_binomial_tree(TreeSpec(k=k, closure=closure))
-            root = formula.atlas.id_of(RootVar())
+            root = formula.atlas.id_of(ROOT)
             # The alias writes the root literal into boundary row 1.
             ends = [root] if closure else []
-            ends += [formula.atlas.id_of(SlotVar(k + 1, row)) for row in range(len(ends) + 1, k + 2)]
+            ends += [formula.atlas.id_of(slot_name(k + 1, row)) for row in range(len(ends) + 1, k + 2)]
             got = count_paths(formula, root)
             if got != {lit: math.comb(k, i) for i, lit in enumerate(ends)}:
                 return False, f"k={k} closure {closure}: paths per row {[got.get(lit, 0) for lit in ends]}, {sum(got.values())} in all"
     for k in range(1, 11):
         formula = build_binary_tree(k)
-        leaves = {formula.atlas.id_of(BinaryVar(k, i)): 1 for i in range(1, 2**k + 1)}
-        if count_paths(formula, formula.atlas.id_of(RootVar())) != leaves:
+        leaves = {formula.atlas.id_of(f"b{k}.{i}"): 1 for i in range(1, 2**k + 1)}
+        if count_paths(formula, formula.atlas.id_of(ROOT)) != leaves:
             return False, f"binary k={k}: not one path to each of the {2**k} leaves"
     return True, "built binomial trees k=1..24, open and alias-closed: C(k, r-1) paths to row r, 2^k in all; built binary trees k=1..10: one path per leaf"
 
@@ -222,20 +213,20 @@ def _check_two_trees() -> tuple[bool, str]:
 @_register("substitution-suite")
 def _check_substitutions() -> tuple[bool, str]:
     closed = build_binomial_tree(TreeSpec(k=3, closure=Alias(1)))
-    if not is_dominant(closed, closed.atlas.id_of(RootVar()), oracle=brute_force_sat):
+    if not is_dominant(closed, closed.atlas.id_of(ROOT), oracle=brute_force_sat):
         return False, "alias closure: root not dominant"
     opened = build_binomial_tree(TreeSpec(k=3, closure=None))
-    if is_dominant(opened, opened.atlas.id_of(RootVar()), oracle=brute_force_sat):
+    if is_dominant(opened, opened.atlas.id_of(ROOT), oracle=brute_force_sat):
         return False, "no closure: root unexpectedly dominant"
     paired = build_binomial_tree(TreeSpec(
         k=3,
         closure=None,
         substitutions=(
-            (SlotVar(4, 2), NamedLit(FreshVar(0))),
-            (SlotVar(4, 4), NamedLit(FreshVar(0), negated=True)),
+            ("s4.2", NamedLit("z0")),
+            ("s4.4", NamedLit("z0", negated=True)),
         ),
     ))
-    if not is_dominant(paired, paired.atlas.id_of(RootVar()), oracle=brute_force_sat):
+    if not is_dominant(paired, paired.atlas.id_of(ROOT), oracle=brute_force_sat):
         return False, "z/~z at two boundary slots: root not dominant"
     return True, "alias closure dominant; closure removed not dominant; z/~z at two boundary slots dominant again"
 
@@ -263,12 +254,12 @@ def _check_redundancy() -> tuple[bool, str]:
 
 @_register("implicit-decision")
 def _check_implicit() -> tuple[bool, str]:
-    via = SlotVar(5, 2)
+    via = "s5.2"
     closed = build_binomial_tree(TreeSpec(
         k=4, closure=Alias(1), implicit_nodes=(((2, 1), via),),
     ))
-    entry = closed.atlas.id_of(SlotVar(2, 1))
-    left = closed.atlas.id_of(SlotVar(3, 1))
+    entry = closed.atlas.id_of("s2.1")
+    left = closed.atlas.id_of("s3.1")
     target = Clause(tuple(sorted((-entry, left), key=abs)))
     result = saturate(closed, Budget(max_clauses=50_000, max_steps=500_000, goal=target))
     cid = result.clause_id(target)
@@ -277,7 +268,7 @@ def _check_implicit() -> tuple[bool, str]:
     opened = build_binomial_tree(TreeSpec(
         k=4, closure=None, implicit_nodes=(((2, 1), via),),
     ))
-    if is_dominant(opened, opened.atlas.id_of(RootVar()), oracle=brute_force_sat):
+    if is_dominant(opened, opened.atlas.id_of(ROOT), oracle=brute_force_sat):
         return False, "root stays dominant without the closure"
     return True, (
         f"switching resolvent ({target}) rebuilt through descendants at store id {cid}; "

@@ -18,7 +18,7 @@ from treesat.forge import (
     build_unit_chain,
     compose_two_trees,
 )
-from treesat.formula import FreshVar, SlotVar, write_dimacs
+from treesat.formula import write_dimacs
 from treesat.resolution import saturate
 
 
@@ -97,7 +97,10 @@ def test_generate_rejects_a_non_integer_redundancy_count(capsys):
     # (e z) but makes the switching clause (e z ~z) tautologous.
     (["--sub", "s4.2=z0", "--sub", "s4.3=z0"],
      "a substitution or implicit node makes a generated clause tautologous: "
-     "decision triple -6 2 2"),
+     "decision triple ~s3.2 z0 z0"),
+    # The closure clause (~s4.2 | x1.1) with the root written into s4.2.
+    (["--closure", "clause:2", "--sub", "s4.2=x1.1"],
+     "a substitution or implicit node makes a generated clause tautologous: ~x1.1 x1.1"),
 ])
 def test_generate_rejects_a_bad_recipe_item(capsys, flags, message):
     code, out, err = run_cli(capsys, "generate", "--family", "binomial", "--k", "3", *flags)
@@ -493,8 +496,8 @@ def test_generate_matches_library_output_for_tree_specs(capsys):
     spec = TreeSpec(
         k=3,
         substitutions=(
-            (SlotVar(4, 2), NamedLit(FreshVar(0))),
-            (SlotVar(4, 4), NamedLit(FreshVar(0), negated=True)),
+            ("s4.2", NamedLit("z0")),
+            ("s4.4", NamedLit("z0", negated=True)),
         ),
     )
     assert out == write_dimacs(build_binomial_tree(spec))

@@ -17,7 +17,7 @@ from treesat.forge import (
     build_binomial_tree,
     compose_two_trees,
 )
-from treesat.formula import BinaryVar, RootVar, SlotVar
+from treesat.formula import ROOT, slot_name
 
 
 def pascal_rows(k: int) -> list[tuple[int, ...]]:
@@ -88,12 +88,12 @@ def boundary_rows(spec):
     """Paths from the root literal to each boundary row of a built tree;
     the aliased row's paths arrive at the root literal."""
     formula = build_binomial_tree(spec)
-    root = formula.atlas.id_of(RootVar())
+    root = formula.atlas.id_of(ROOT)
     root_lit = -root if spec.root_negated else root
     arrivals = count_paths(formula, root_lit)
     aliased = spec.closure.row if isinstance(spec.closure, Alias) else None
     rows = tuple(
-        arrivals.pop(root_lit if row == aliased else formula.atlas.id_of(SlotVar(spec.k + 1, row)))
+        arrivals.pop(root_lit if row == aliased else formula.atlas.id_of(slot_name(spec.k + 1, row)))
         for row in range(1, spec.k + 2)
     )
     assert arrivals == {}
@@ -114,8 +114,8 @@ def test_count_paths_reads_binomial_rows_off_built_trees():
 
 def test_count_paths_reaches_each_binary_leaf_once():
     formula = build_binary_tree(6)
-    arrivals = count_paths(formula, formula.atlas.id_of(RootVar()))
-    assert arrivals == {formula.atlas.id_of(BinaryVar(6, i)): 1 for i in range(1, 65)}
+    arrivals = count_paths(formula, formula.atlas.id_of(ROOT))
+    assert arrivals == {formula.atlas.id_of(f"b6.{i}"): 1 for i in range(1, 65)}
 
 
 def test_count_paths_stops_at_the_shared_root_of_a_composition():

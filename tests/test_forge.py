@@ -17,15 +17,7 @@ from treesat.forge import (
     compose_two_trees,
     parse_closure,
 )
-from treesat.formula import (
-    ChainVar,
-    Clause,
-    FreshVar,
-    RootVar,
-    SlotVar,
-    parse_var_name,
-    write_dimacs,
-)
+from treesat.formula import ROOT, Clause, parse_var_name, write_dimacs
 from treesat.oracle import dpll_sat, entails, is_dominant
 
 
@@ -154,40 +146,40 @@ def test_substitution_with_fresh_variable_pair():
     spec = TreeSpec(
         k=3,
         substitutions=(
-            (SlotVar(4, 2), NamedLit(FreshVar(0))),
-            (SlotVar(4, 4), NamedLit(FreshVar(0), negated=True)),
+            ("s4.2", NamedLit("z0")),
+            ("s4.4", NamedLit("z0", negated=True)),
         ),
     )
     f = build_binomial_tree(spec)
-    assert FreshVar(0) in f.atlas
-    assert SlotVar(4, 2) not in f.atlas and SlotVar(4, 4) not in f.atlas
+    assert "z0" in f.atlas
+    assert "s4.2" not in f.atlas and "s4.4" not in f.atlas
     assert f.metadata["substitutions"] == "s4.2=z0;s4.4=~z0"
     assert is_dominant(f, 1)
 
 
 def test_substitution_validation():
-    for slot in (SlotVar(9, 1), SlotVar(3, 2, tree=1)):
+    for slot in ("s9.1", "t1.s3.2"):
         with pytest.raises(ValueError, match="nonexistent"):
             build_binomial_tree(
-                TreeSpec(k=2, substitutions=((slot, NamedLit(FreshVar(0))),))
+                TreeSpec(k=2, substitutions=((slot, NamedLit("z0")),))
             )
     with pytest.raises(ValueError, match="twice"):
         build_binomial_tree(
             TreeSpec(
                 k=3,
                 substitutions=(
-                    (SlotVar(4, 2), NamedLit(FreshVar(0))),
-                    (SlotVar(4, 2), NamedLit(FreshVar(1))),
+                    ("s4.2", NamedLit("z0")),
+                    ("s4.2", NamedLit("z1")),
                 ),
             )
         )
     with pytest.raises(ValueError, match="aliased away"):
         build_binomial_tree(
-            TreeSpec(k=2, substitutions=((SlotVar(3, 1), NamedLit(FreshVar(0))),))
+            TreeSpec(k=2, substitutions=(("s3.1", NamedLit("z0")),))
         )
     with pytest.raises(ValueError, match="root or a fresh"):
         build_binomial_tree(
-            TreeSpec(k=2, substitutions=((SlotVar(3, 2), NamedLit(ChainVar(2))),))
+            TreeSpec(k=2, substitutions=(("s3.2", NamedLit("x2.1")),))
         )
 
 
@@ -197,8 +189,8 @@ def test_adjacent_slot_substitution_is_rejected():
     spec = TreeSpec(
         k=3,
         substitutions=(
-            (SlotVar(4, 2), NamedLit(FreshVar(0))),
-            (SlotVar(4, 3), NamedLit(FreshVar(0), negated=True)),
+            ("s4.2", NamedLit("z0")),
+            ("s4.3", NamedLit("z0", negated=True)),
         ),
     )
     with pytest.raises(ValueError, match="tautologous"):
@@ -211,9 +203,9 @@ def test_compose_two_trees_verdicts_and_shape():
     for f in (matched, crossed):
         assert f.num_vars == 9
         assert f.num_clauses == 18
-        assert f.atlas.id_of(RootVar()) == 1
-        assert SlotVar(2, 1, tree=0) in f.atlas
-        assert SlotVar(2, 1, tree=1) in f.atlas
+        assert f.atlas.id_of(ROOT) == 1
+        assert "s2.1" in f.atlas
+        assert "t1.s2.1" in f.atlas
     assert not dpll_sat(matched).is_sat
     assert dpll_sat(crossed).is_sat
     assert matched.metadata == {"family": "compose-matched", "k": "2"}
@@ -248,10 +240,10 @@ def redundancy_clauses(k, node, count, seed):
 
 def test_implicit_node_drops_switching_and_keeps_meaning():
     base = build_binomial_tree(TreeSpec(k=4))
-    entry = base.atlas.id_of(SlotVar(2, 1))
-    left = base.atlas.id_of(SlotVar(3, 1))
-    right = base.atlas.id_of(SlotVar(3, 2))
-    implicit = implicit_tree(4, (2, 1), SlotVar(5, 2))
+    entry = base.atlas.id_of("s2.1")
+    left = base.atlas.id_of("s3.1")
+    right = base.atlas.id_of("s3.2")
+    implicit = implicit_tree(4, (2, 1), "s5.2")
     assert implicit.num_clauses == base.num_clauses - 2
     assert implicit.metadata["implicit"] == "2.1=s5.2"
     dropped = {Clause(tuple(sorted((-entry, left, -right), key=abs))),
@@ -261,14 +253,14 @@ def test_implicit_node_drops_switching_and_keeps_meaning():
     # The dropped pair resolvent is still a consequence, and the alias
     # leaves the via variable out of the formula.
     assert entails(implicit, Clause(tuple(sorted((-entry, left), key=abs))))
-    assert SlotVar(5, 2) not in implicit.atlas
+    assert "s5.2" not in implicit.atlas
     assert implicit.num_vars == base.num_vars - 1
     assert is_dominant(implicit, 1)
 
 
 def test_implicit_node_narrows_its_clause_to_width_two():
     # Node (1, 1) keeps only (1 2 3); aliasing s2.2 to s2.1 narrows it to (1 2).
-    spec = TreeSpec(k=3, implicit_nodes=(((1, 1), SlotVar(2, 2)),))
+    spec = TreeSpec(k=3, implicit_nodes=(((1, 1), "s2.2"),))
     narrow = [str(c) for c in build_binomial_tree(spec).clauses if c.width == 2]
     assert narrow == ["1 2"]
     closed = dataclasses.replace(spec, closure=ClosureClause(1))
@@ -278,18 +270,18 @@ def test_implicit_node_narrows_its_clause_to_width_two():
 
 def test_implicit_node_validation():
     with pytest.raises(ValueError, match="no node"):
-        implicit_tree(4, (5, 1), SlotVar(5, 2))
+        implicit_tree(4, (5, 1), "s5.2")
     with pytest.raises(ValueError, match="not a descendant"):
-        implicit_tree(4, (2, 2), SlotVar(3, 1))
+        implicit_tree(4, (2, 2), "s3.1")
     with pytest.raises(ValueError, match="left slot"):
-        implicit_tree(4, (2, 1), SlotVar(3, 1))
+        implicit_tree(4, (2, 1), "s3.1")
     with pytest.raises(ValueError, match="aliased away"):
-        implicit_tree(4, (2, 1), SlotVar(5, 1))
+        implicit_tree(4, (2, 1), "s5.1")
     # In the depth-3 tree the clause of node (3,1) holds both s3.1 and
     # s4.2, so aliasing one to the other is caught as a tautology.
     with pytest.raises(ValueError, match="tautologous"):
-        implicit_tree(3, (2, 1), SlotVar(4, 2))
-    spec = TreeSpec(k=2, implicit_nodes=(((1, 1), SlotVar(2, 2)), ((1, 1), SlotVar(3, 3))))
+        implicit_tree(3, (2, 1), "s4.2")
+    spec = TreeSpec(k=2, implicit_nodes=(((1, 1), "s2.2"), ((1, 1), "s3.3")))
     with pytest.raises(ValueError, match="node \\(1, 1\\) made implicit twice"):
         build_binomial_tree(spec)
 
@@ -329,7 +321,7 @@ def test_redundancy_validation():
     # so the two transforms combine.
     both = build_binomial_tree(TreeSpec(
         k=4,
-        implicit_nodes=(((2, 1), SlotVar(5, 2)),),
+        implicit_nodes=(((2, 1), "s5.2"),),
         redundancy=(RedundancySpec((1, 1), 2, seed=1),),
     ))
     assert both.metadata["redundancy"] == "1.1:2:1"
@@ -347,7 +339,9 @@ def test_parse_closure_round_trip():
 
 
 def test_named_lit_parse():
-    assert NamedLit.parse("~t1.s2.1") == NamedLit(SlotVar(2, 1, tree=1), negated=True)
-    assert NamedLit.parse("z3") == NamedLit(FreshVar(3))
+    assert NamedLit.parse("~t1.s2.1") == NamedLit("t1.s2.1", negated=True)
+    assert NamedLit.parse("z3") == NamedLit("z3")
     assert str(NamedLit.parse("~x1.1")) == "~x1.1"
     assert parse_var_name("b2.3") is not None
+    with pytest.raises(ValueError, match="unrecognized variable name 'zebra'"):
+        NamedLit("zebra")

@@ -3,19 +3,16 @@ import random
 import pytest
 
 from treesat.formula import (
+    ROOT,
     Atlas,
-    BinaryVar,
-    ChainVar,
     Clause,
     CnfFormula,
     DimacsError,
-    FreshVar,
-    RootVar,
-    SlotVar,
     build_formula,
     make_clause,
     parse_dimacs,
     parse_var_name,
+    slot_name,
     write_dimacs,
 )
 
@@ -38,7 +35,6 @@ def test_clause_canonical_form_enforced():
 def test_clause_properties():
     c = Clause((1, -3))
     assert c.width == 2
-    assert c.variables() == (1, 3)
     assert -3 in c.lits and 3 not in c.lits
     assert str(c) == "1 -3"
     assert Clause(()).width == 0 and str(Clause(())) == "<empty>"
@@ -52,50 +48,39 @@ def test_make_clause_sorts_merges_and_detects_tautology():
 
 
 def test_var_name_str_parse_round_trip():
-    names = [
-        RootVar(),
-        ChainVar(2, 1),
-        ChainVar(9, 2),
-        SlotVar(4, 3),
-        SlotVar(2, 1, tree=1),
-        BinaryVar(3, 8),
-        FreshVar(0),
-        FreshVar(12),
-    ]
-    for name in names:
-        assert parse_var_name(str(name)) == name
-    assert str(RootVar()) == "x1.1"
-    assert str(SlotVar(5, 2, tree=1)) == "t1.s5.2"
-    assert str(BinaryVar(2, 3)) == "b2.3"
+    assert ROOT == "x1.1"
+    assert slot_name(4, 3) == "s4.3"
+    assert slot_name(5, 2, tree=1) == "t1.s5.2"
+    for name in (ROOT, slot_name(4, 3), slot_name(5, 2, tree=1)):
+        assert parse_var_name(name) == name
 
 
 def test_var_name_validation():
-    with pytest.raises(ValueError):
-        ChainVar(1, 1)
-    with pytest.raises(ValueError):
-        ChainVar(2, 3)
-    with pytest.raises(ValueError):
-        SlotVar(1, 1)
-    with pytest.raises(ValueError):
-        BinaryVar(2, 5)
-    with pytest.raises(ValueError):
-        FreshVar(-1)
-    with pytest.raises(ValueError):
-        parse_var_name("q7")
-    with pytest.raises(ValueError):
-        parse_var_name("x1.3")
+    for text in "x1.1 x2.1 x10.2 s2.1 t1.s2.1 b3.8 z0 z12".split():
+        assert parse_var_name(text) == text
+    # Each name has one spelling: no leading zeros, no written tree 0,
+    # ASCII digits only, and a binary index within 1..2**level.
+    for text in "q7 x1.2 x0.1 s1.1 s3.0 s03.1 t0.s3.1 b0.1 b2.5 z01 s\u0663.1".split():
+        with pytest.raises(ValueError, match="unrecognized variable name"):
+            parse_var_name(text)
+
+
+def test_parse_dimacs_checks_a_deep_binary_name_by_bit_length():
+    # Checking the index against 2**level would build an int of about 12 GB.
+    formula = parse_dimacs("c var 1 b100000000000.1\np cnf 1 1\n1 0\n")
+    assert formula.atlas.name_of(1) == "b100000000000.1"
 
 
 def test_atlas_registration_order_and_idempotence():
     atlas = Atlas()
-    assert atlas.register(RootVar()) == 1
-    assert atlas.register(SlotVar(2, 1)) == 2
-    assert atlas.register(RootVar()) == 1
-    assert atlas.id_of(SlotVar(2, 1)) == 2
-    assert atlas.name_of(2) == SlotVar(2, 1)
-    assert SlotVar(2, 1) in atlas and SlotVar(2, 2) not in atlas
+    assert atlas.register(ROOT) == 1
+    assert atlas.register("s2.1") == 2
+    assert atlas.register(ROOT) == 1
+    assert atlas.id_of("s2.1") == 2
+    assert atlas.name_of(2) == "s2.1"
+    assert "s2.1" in atlas and "s2.2" not in atlas
     assert len(atlas) == 2
-    assert list(atlas.items()) == [(1, RootVar()), (2, SlotVar(2, 1))]
+    assert list(atlas.items()) == [(1, ROOT), (2, "s2.1")]
 
 
 def test_formula_validation():
@@ -117,8 +102,8 @@ def test_build_formula_dedups_and_rejects_tautologies():
 
 def test_with_extra_dedups_and_shares_atlas():
     atlas = Atlas()
-    atlas.register(RootVar())
-    atlas.register(ChainVar(2))
+    atlas.register(ROOT)
+    atlas.register("x2.1")
     f = build_formula([Clause((1, 2))], 2, atlas, {"family": "test"})
     g = f.with_extra([Clause((1, 2)), Clause((-2,))])
     assert g.clauses == (Clause((1, 2)), Clause((-2,)))
@@ -138,15 +123,15 @@ p cnf 2 2
 
 def test_write_dimacs_golden():
     atlas = Atlas()
-    atlas.register(RootVar())
-    atlas.register(ChainVar(2))
+    atlas.register(ROOT)
+    atlas.register("x2.1")
     f = build_formula([Clause((1, 2)), Clause((-2,))], 2, atlas, {"family": "test"})
     assert write_dimacs(f) == GOLDEN_DIMACS
 
 
 def test_dimacs_round_trip_is_byte_identical():
     atlas = Atlas()
-    for name in (RootVar(), SlotVar(2, 1), SlotVar(2, 2)):
+    for name in (ROOT, "s2.1", "s2.2"):
         atlas.register(name)
     f = build_formula(
         [Clause((1, 2, 3)), Clause((1, 2, -3)), Clause((-1,))],

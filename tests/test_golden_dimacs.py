@@ -28,25 +28,25 @@ from treesat.forge import (
     parse_redundancy,
     parse_substitution,
 )
-from treesat.formula import FreshVar, RootVar, SlotVar, parse_dimacs, write_dimacs
+from treesat.formula import ROOT, parse_dimacs, write_dimacs
 
 
 def fresh(tag, negated=False):
-    return NamedLit(FreshVar(tag), negated)
+    return NamedLit(f"z{tag}", negated)
 
 
 SPECS = {
     "substitutions": TreeSpec(k=4, substitutions=(
-        (SlotVar(4, 2), fresh(0)), (SlotVar(5, 4), fresh(0, negated=True)),
+        ("s4.2", fresh(0)), ("s5.4", fresh(0, negated=True)),
     )),
     "substitution-by-root": TreeSpec(k=4, substitutions=(
-        (SlotVar(3, 2), NamedLit(RootVar())), (SlotVar(5, 3), NamedLit(RootVar(), negated=True)),
+        ("s3.2", NamedLit(ROOT)), ("s5.3", NamedLit(ROOT, negated=True)),
     )),
     "substitution-same-literal": TreeSpec(k=3, substitutions=(
-        (SlotVar(3, 1), fresh(2)), (SlotVar(4, 3), fresh(2)),
+        ("s3.1", fresh(2)), ("s4.3", fresh(2)),
     )),
-    "implicit": TreeSpec(k=5, implicit_nodes=(((2, 1), SlotVar(5, 2)), ((1, 1), SlotVar(4, 4)))),
-    "implicit-narrowed": TreeSpec(k=3, implicit_nodes=(((1, 1), SlotVar(2, 2)),)),
+    "implicit": TreeSpec(k=5, implicit_nodes=(((2, 1), "s5.2"), ((1, 1), "s4.4"))),
+    "implicit-narrowed": TreeSpec(k=3, implicit_nodes=(((1, 1), "s2.2"),)),
     "redundancy": TreeSpec(k=5, redundancy=(
         RedundancySpec((1, 1), 7, seed=3), RedundancySpec((3, 2), 2, seed=11),
     )),
@@ -56,8 +56,8 @@ SPECS = {
     "everything": TreeSpec(
         k=6,
         closure=ClosureClause(2),
-        substitutions=((SlotVar(4, 3), fresh(1)), (SlotVar(6, 1), NamedLit(RootVar(), negated=True))),
-        implicit_nodes=(((3, 2), SlotVar(6, 4)),),
+        substitutions=(("s4.3", fresh(1)), ("s6.1", NamedLit(ROOT, negated=True))),
+        implicit_nodes=(((3, 2), "s6.4"),),
         redundancy=(RedundancySpec((2, 2), 5, seed=8),),
         root_negated=True,
     ),
@@ -146,7 +146,7 @@ def test_each_recipe_field_reads_back_as_written(name):
 @pytest.mark.parametrize("name", CASES)
 def test_count_paths_ends_on_every_case(name):
     formula = CASES[name]()
-    root = formula.atlas.id_of(RootVar())
+    root = formula.atlas.id_of(ROOT)
     for entry in (root, -root):
         assert all(paths > 0 for paths in count_paths(formula, entry).values())
 

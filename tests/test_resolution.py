@@ -15,7 +15,7 @@ from treesat.forge import (
     compose_two_trees,
 )
 from treesat.formula import (
-    Clause, RootVar, build_formula, make_clause,
+    ROOT, Clause, build_formula, make_clause,
 )
 from treesat.oracle import dpll_sat, entails
 from treesat.resolution import (
@@ -432,7 +432,7 @@ def test_goal_run_is_a_prefix_of_the_run_without_goal():
     budget = default_sweep_budget()
     for k in range(3, 9):
         formula = build_binomial_tree(TreeSpec(k=k))
-        unit = Clause((formula.atlas.id_of(RootVar()),))
+        unit = Clause((formula.atlas.id_of(ROOT),))
         full = saturate(formula, budget)
         run = saturate(formula, dataclasses.replace(budget, goal=unit))
         assert run.status is SaturationStatus.GOAL_DERIVED, k
@@ -457,7 +457,7 @@ def test_goal_stops_at_an_original_clause_and_at_the_empty_clause():
 def test_goal_never_derived_leaves_the_run_unchanged():
     budget = default_sweep_budget()
     formula = build_binomial_tree(TreeSpec(k=3, closure=None))
-    unit = Clause((formula.atlas.id_of(RootVar()),))
+    unit = Clause((formula.atlas.id_of(ROOT),))
     full = saturate(formula, budget)
     assert full.status is SaturationStatus.SATURATED
     assert full.counters.steps == 197
@@ -496,7 +496,7 @@ def test_dominance_by_resolution_agrees_with_the_oracle():
     for name, build in FAMILIES.items():
         for k in range(2, 9):
             formula = build(k)
-            root = formula.atlas.id_of(RootVar())
+            root = formula.atlas.id_of(ROOT)
             lits = (
                 [s * v for v in range(1, formula.num_vars + 1) for s in (1, -1)]
                 if k <= 3 else [root]
