@@ -13,8 +13,7 @@ import csv
 import io
 import math
 import time
-from dataclasses import dataclass, fields
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .forge import FAMILIES
 from .oracle import dpll_sat
@@ -25,8 +24,7 @@ from .resolution import Budget, SaturationStatus, saturate
 SWEEP_MAX_CLAUSES = 20_000
 SWEEP_MAX_STEPS = 200_000
 
-@dataclass(frozen=True)
-class BenchRecord:
+class BenchRecord(NamedTuple):
     family: str
     k: int
     repetition: int
@@ -41,7 +39,7 @@ class BenchRecord:
     dpll_seconds: float
 
 
-COLUMNS: tuple[str, ...] = tuple(f.name for f in fields(BenchRecord))
+COLUMNS: tuple[str, ...] = BenchRecord._fields
 _FLOAT_COLUMNS = frozenset(("saturation_seconds", "dpll_seconds"))
 _STR_COLUMNS = frozenset(("family", "saturation_status", "dpll_verdict"))
 
@@ -157,8 +155,7 @@ def parse_csv(text: str) -> list[BenchRecord]:
     return records
 
 
-@dataclass(frozen=True)
-class PowerLawFit:
+class PowerLawFit(NamedTuple):
     """Least-squares fit of y ~ scale * x**exponent on log-log axes;
     residual is the root-mean-square misfit of log10(y)."""
 

@@ -15,9 +15,9 @@ DIMACS output.  The root variable is always registered first (id 1).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .formula import (
     ROOT,
@@ -31,15 +31,13 @@ from .formula import (
 )
 
 
-@dataclass(frozen=True)
-class Alias:
+class Alias(NamedTuple):
     """Close the tree by writing the root literal into one boundary slot."""
 
     row: int = 1
 
 
-@dataclass(frozen=True)
-class ClosureClause:
+class ClosureClause(NamedTuple):
     """Close the tree with an implication (~slot | root) instead."""
 
     row: int = 1
@@ -48,15 +46,15 @@ class ClosureClause:
 Closure = Alias | ClosureClause | None
 
 
-@dataclass(frozen=True)
-class NamedLit:
+class NamedLit(namedtuple("NamedLit", "name negated")):
     """A literal over a named variable, before ids are assigned."""
 
+    __slots__ = ()
     name: str
-    negated: bool = False
+    negated: bool
 
-    def __post_init__(self) -> None:
-        parse_var_name(self.name)
+    def __new__(cls, name: str, negated: bool = False) -> NamedLit:
+        return tuple.__new__(cls, (parse_var_name(name), negated))
 
     def __str__(self) -> str:
         return ("~" if self.negated else "") + self.name
@@ -67,15 +65,13 @@ class NamedLit:
         return cls(text[1:] if negated else text, negated)
 
 
-@dataclass(frozen=True)
-class RedundancySpec:
+class RedundancySpec(NamedTuple):
     node: tuple[int, int]
     count: int
     seed: int
 
 
-@dataclass(frozen=True)
-class TreeSpec:
+class TreeSpec(NamedTuple):
     """Recipe for one generated formula of the pair-sharing tree family.
     Redundancy clauses are drawn from a node's cone as the closure,
     substitutions and implicit nodes alias it."""

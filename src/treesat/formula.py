@@ -16,7 +16,7 @@ lines written before the header:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 
 class DimacsError(ValueError):
@@ -27,16 +27,16 @@ class DimacsError(ValueError):
 # clauses
 
 
-@dataclass(frozen=True)
-class Clause:
+class Clause(namedtuple("Clause", "lits")):
     """Canonical disjunction of literals.  Width 0 is the empty clause."""
 
+    __slots__ = ()
     lits: tuple[int, ...]
 
-    def __post_init__(self) -> None:
+    def __new__(cls, lits: tuple[int, ...]) -> Clause:
         seen: set[int] = set()
         last = 0
-        for lit in self.lits:
+        for lit in lits:
             var = abs(lit)
             if lit == 0:
                 raise ValueError("0 is not a literal")
@@ -46,15 +46,14 @@ class Clause:
                 raise ValueError("literals must be sorted by variable id")
             seen.add(var)
             last = var
+        return tuple.__new__(cls, (lits,))
 
     @classmethod
     def _unchecked(cls, lits: tuple[int, ...]) -> Clause:
         """A clause from literals already sorted by variable, free of
         duplicates and of complementary pairs, built without the check
         above."""
-        clause = object.__new__(cls)
-        object.__setattr__(clause, "lits", lits)
-        return clause
+        return tuple.__new__(cls, (lits,))
 
     @property
     def width(self) -> int:
@@ -153,22 +152,33 @@ class Atlas:
 # formulas
 
 
-@dataclass(frozen=True)
-class CnfFormula:
-    """A deduplicated CNF clause sequence with naming and metadata."""
+class CnfFormula(namedtuple("CnfFormula", "clauses num_vars atlas metadata")):
+    """A deduplicated CNF clause sequence with naming and metadata.  A
+    formula built without an atlas or metadata gets a new, empty one."""
 
+    __slots__ = ()
     clauses: tuple[Clause, ...]
     num_vars: int
-    atlas: Atlas = field(default_factory=Atlas)
-    metadata: dict[str, str] = field(default_factory=dict)
+    atlas: Atlas
+    metadata: dict[str, str]
 
-    def __post_init__(self) -> None:
+    def __new__(
+        cls,
+        clauses: tuple[Clause, ...],
+        num_vars: int,
+        atlas: Atlas | None = None,
+        metadata: dict[str, str] | None = None,
+    ) -> CnfFormula:
         seen: set[tuple[int, ...]] = set()
-        for clause in self.clauses:
+        for clause in clauses:
             if clause.lits in seen:
                 raise ValueError(f"duplicate clause {clause}")
             seen.add(clause.lits)
-        _check_range(self.clauses, self.num_vars)
+        _check_range(clauses, num_vars)
+        return tuple.__new__(cls, (
+            clauses, num_vars, Atlas() if atlas is None else atlas,
+            {} if metadata is None else metadata,
+        ))
 
     @classmethod
     def _unchecked(
@@ -176,12 +186,7 @@ class CnfFormula:
     ) -> CnfFormula:
         """A formula from clauses already free of duplicates and within
         `num_vars`, built without the check above."""
-        formula = object.__new__(cls)
-        object.__setattr__(formula, "clauses", clauses)
-        object.__setattr__(formula, "num_vars", num_vars)
-        object.__setattr__(formula, "atlas", atlas)
-        object.__setattr__(formula, "metadata", metadata)
-        return formula
+        return tuple.__new__(cls, (clauses, num_vars, atlas, metadata))
 
     @property
     def num_clauses(self) -> int:

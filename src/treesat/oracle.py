@@ -22,9 +22,9 @@ another order, are not used.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from heapq import heappop, heappush
+from typing import NamedTuple
 
 from .formula import Clause, CnfFormula, make_clause
 
@@ -43,8 +43,7 @@ class Verdict(Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class OracleVerdict:
+class OracleVerdict(NamedTuple):
     status: Verdict
     model: dict[int, bool] | None
     nodes: int

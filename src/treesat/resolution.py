@@ -46,8 +46,9 @@ second, independent rule.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from enum import Enum
+from typing import NamedTuple
 
 from .formula import Clause, CnfFormula, make_clause
 
@@ -55,25 +56,32 @@ DEFAULT_MAX_CLAUSES = 1_000_000
 DEFAULT_MAX_STEPS = 10_000_000
 
 
-@dataclass(frozen=True)
-class Budget:
+class Budget(namedtuple("Budget", "max_clauses max_steps max_width goal")):
     """Work limits for saturation; max_width defaults to the formula's
     variable count (no resolvent can be wider anyway).  The run ends at
     the first stored clause that subsumes the goal, which without a goal
     is the empty clause: `empty-derived` if that clause is empty, else
     `goal-derived`.  So a goal run is the run without the goal, cut at
-    that run's first stored subsumer of the goal."""
+    that run's first stored subsumer of the goal.  `_replace` does not
+    check its input, so only `goal` is replaced that way."""
 
-    max_clauses: int = DEFAULT_MAX_CLAUSES
-    max_steps: int = DEFAULT_MAX_STEPS
-    max_width: int | None = None
-    goal: Clause | None = None
+    __slots__ = ()
+    max_clauses: int
+    max_steps: int
+    max_width: int | None
+    goal: Clause | None
 
-    def __post_init__(self) -> None:
-        for name in ("max_clauses", "max_steps", "max_width"):
-            value = getattr(self, name)
+    def __new__(
+        cls,
+        max_clauses: int = DEFAULT_MAX_CLAUSES,
+        max_steps: int = DEFAULT_MAX_STEPS,
+        max_width: int | None = None,
+        goal: Clause | None = None,
+    ) -> Budget:
+        for name, value in zip(cls._fields, (max_clauses, max_steps, max_width)):
             if value is not None and value < 0:
                 raise ValueError(f"{name} must be non-negative, got {value}")
+        return tuple.__new__(cls, (max_clauses, max_steps, max_width, goal))
 
 
 class SaturationStatus(Enum):
@@ -95,8 +103,7 @@ class ResolutionDominance(Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class ResolutionStep:
+class ResolutionStep(NamedTuple):
     """`left` and `right` are parent clause ids (left is the older one);
     `var` is the resolved variable; `result` the new clause's id."""
 
@@ -106,8 +113,7 @@ class ResolutionStep:
     result: int
 
 
-@dataclass
-class SaturationCounters:
+class SaturationCounters(NamedTuple):
     steps: int = 0
     added: int = 0
     tautologies: int = 0
@@ -117,8 +123,7 @@ class SaturationCounters:
     retired: int = 0
 
 
-@dataclass(frozen=True)
-class SaturationResult:
+class SaturationResult(NamedTuple):
     """`stopped_by` names the budget that tripped ("max_clauses" or
     "max_steps") when the status is BUDGET_EXHAUSTED, else None."""
 
@@ -140,8 +145,7 @@ class SaturationResult:
         return self.store[self.n_original :]
 
 
-@dataclass(frozen=True)
-class DecisionChain:
+class DecisionChain(NamedTuple):
     """A derived clause and the variables resolved away along its
     derivation, in left-to-right order."""
 
@@ -345,7 +349,7 @@ def is_dominant_by_resolution(
     NOT_SHOWN follows only a saturated run."""
     if not 1 <= abs(lit) <= formula.num_vars:
         raise ValueError(f"variable {abs(lit)} not in formula")
-    result = saturate(formula, replace(budget or Budget(), goal=Clause((lit,))))
+    result = saturate(formula, (budget or Budget())._replace(goal=Clause((lit,))))
     if result.status in (SaturationStatus.GOAL_DERIVED, SaturationStatus.EMPTY_DERIVED):
         return ResolutionDominance.DOMINANT
     if result.status is SaturationStatus.BUDGET_EXHAUSTED:

@@ -10,12 +10,10 @@ when they exceed it.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import random
 import time
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .bench import COLUMNS, export_csv, fit_power_law, parse_csv, run_sweep, uncensored
 from .counts import (
@@ -48,8 +46,7 @@ from .resolution import (
 )
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     details: str
@@ -364,7 +361,7 @@ def _check_bench() -> tuple[bool, str]:
         return False, "csv not well-formed"
     recovered = parse_csv(text)
     def strip(r):
-        return dataclasses.replace(r, saturation_seconds=0.0, dpll_seconds=0.0)
+        return r._replace(saturation_seconds=0.0, dpll_seconds=0.0)
     if [strip(r) for r in recovered] != [strip(r) for r in records]:
         return False, "csv round trip lost non-timing fields"
     kept = uncensored(records)

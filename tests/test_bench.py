@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 
 import treesat.bench as bench
@@ -181,5 +179,5 @@ def test_scatter_svg_rejects_empty_input():
 
 def test_timing_fields_can_be_normalized():
     record = make_record(saturation_seconds=1.5, dpll_seconds=2.5)
-    stripped = dataclasses.replace(record, saturation_seconds=0.0, dpll_seconds=0.0)
+    stripped = record._replace(saturation_seconds=0.0, dpll_seconds=0.0)
     assert stripped.saturation_seconds == 0.0 and stripped.family == record.family

@@ -92,6 +92,15 @@ def test_formula_validation():
     assert f.num_clauses == 1
 
 
+def test_formulas_built_without_atlas_or_metadata_share_neither():
+    clauses = (Clause((1, 2)),)
+    a, b = CnfFormula(clauses, 2), CnfFormula(clauses, 2)
+    assert a.atlas is not b.atlas and a.metadata is not b.metadata
+    a.atlas.register(ROOT)
+    a.metadata["family"] = "x"
+    assert len(b.atlas) == 0 and b.metadata == {}
+
+
 def test_build_formula_dedups_and_rejects_tautologies():
     f = build_formula([Clause((1, 2)), Clause((1, 2)), Clause((-1,))])
     assert f.clauses == (Clause((1, 2)), Clause((-1,)))

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import random
 import re
@@ -434,7 +433,7 @@ def test_goal_run_is_a_prefix_of_the_run_without_goal():
         formula = build_binomial_tree(TreeSpec(k=k))
         unit = Clause((formula.atlas.id_of(ROOT),))
         full = saturate(formula, budget)
-        run = saturate(formula, dataclasses.replace(budget, goal=unit))
+        run = saturate(formula, budget._replace(goal=unit))
         assert run.status is SaturationStatus.GOAL_DERIVED, k
         assert run.stopped_by is None
         assert run.store[-1] == unit
@@ -461,7 +460,7 @@ def test_goal_never_derived_leaves_the_run_unchanged():
     full = saturate(formula, budget)
     assert full.status is SaturationStatus.SATURATED
     assert full.counters.steps == 197
-    assert saturate(formula, dataclasses.replace(budget, goal=unit)) == full
+    assert saturate(formula, budget._replace(goal=unit)) == full
 
 
 def test_a_goal_run_ends_at_the_first_subsumer_in_the_run_without_goal():
@@ -474,7 +473,7 @@ def test_a_goal_run_ends_at_the_first_subsumer_in_the_run_without_goal():
                             for v in rng.sample(range(1, formula.num_vars + 3),
                                                 rng.randint(1, 4))])
         full = saturate(formula, budget)
-        run = saturate(formula, dataclasses.replace(budget, goal=goal))
+        run = saturate(formula, budget._replace(goal=goal))
         first = next(
             (i for i, c in enumerate(full.store) if set(c.lits) <= set(goal.lits)), None
         )
