@@ -50,8 +50,6 @@ class NamedLit(namedtuple("NamedLit", "name negated")):
     """A literal over a named variable, before ids are assigned."""
 
     __slots__ = ()
-    name: str
-    negated: bool
 
     def __new__(cls, name: str, negated: bool = False) -> NamedLit:
         return tuple.__new__(cls, (parse_var_name(name), negated))

@@ -31,7 +31,6 @@ class Clause(namedtuple("Clause", "lits")):
     """Canonical disjunction of literals.  Width 0 is the empty clause."""
 
     __slots__ = ()
-    lits: tuple[int, ...]
 
     def __new__(cls, lits: tuple[int, ...]) -> Clause:
         seen: set[int] = set()
@@ -157,10 +156,6 @@ class CnfFormula(namedtuple("CnfFormula", "clauses num_vars atlas metadata")):
     formula built without an atlas or metadata gets a new, empty one."""
 
     __slots__ = ()
-    clauses: tuple[Clause, ...]
-    num_vars: int
-    atlas: Atlas
-    metadata: dict[str, str]
 
     def __new__(
         cls,

@@ -66,10 +66,6 @@ class Budget(namedtuple("Budget", "max_clauses max_steps max_width goal")):
     check its input, so only `goal` is replaced that way."""
 
     __slots__ = ()
-    max_clauses: int
-    max_steps: int
-    max_width: int | None
-    goal: Clause | None
 
     def __new__(
         cls,
