@@ -130,8 +130,7 @@ def export_csv(records: Sequence[BenchRecord]) -> str:
     out = io.StringIO()
     writer = csv.writer(out)
     writer.writerow(COLUMNS)
-    for record in records:
-        writer.writerow([getattr(record, name) for name in COLUMNS])
+    writer.writerows(records)
     return out.getvalue()
 
 
