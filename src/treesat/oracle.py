@@ -32,7 +32,7 @@ BRUTE_FORCE_VAR_CAP = 28
 
 # Assignments are evaluated in blocks of 2**_CHUNK_BITS at once, as bit
 # vectors held in Python integers.
-_CHUNK_BITS = 20
+_CHUNK_BITS = 16
 
 
 class Verdict(Enum):
@@ -55,8 +55,11 @@ class OracleVerdict(NamedTuple):
 
 
 def _check_model(formula: CnfFormula, model: dict[int, bool]) -> None:
+    """Raise on the first clause that no literal true in `model` meets; a
+    variable the model leaves out counts as False."""
+    true_lits = {v if model.get(v, False) else -v for v in range(1, formula.num_vars + 1)}
     for clause in formula.clauses:
-        if not any(model.get(abs(l), False) == (l > 0) for l in clause.lits):
+        if true_lits.isdisjoint(clause.lits):
             raise AssertionError(f"model fails clause {clause}")
 
 
@@ -83,28 +86,37 @@ def brute_force_sat(formula: CnfFormula) -> OracleVerdict:
     # Mask bit n-i holds variable i so that integer order equals
     # lexicographic order over (x1, ..., xn) with False < True.  The low
     # mask bits are swept as one truth-table block per iteration; the
-    # remaining high bits are enumerated by the outer loop.
+    # remaining high bits are enumerated by the outer loop.  A clause is
+    # split once into its block mask and the outer bits of its positive
+    # and negative literals.  Clauses with no outer literal are ANDed into
+    # `base` once; at each outer value h the others are skipped when an
+    # outer literal is already true, and ANDed in otherwise.
     low = min(n, _CHUNK_BITS)
     size = 1 << low
     full = (1 << size) - 1
     tables = [_bit_table(b, size) for b in range(low)]
 
-    clause_info = []
+    base = full
+    outer_clauses = []
     for clause in formula.clauses:
-        low_mask = 0
-        high_lits = []
+        low_mask = pos = neg = 0
         for lit in clause.lits:
             bit = n - abs(lit)
             if bit < low:
                 low_mask |= tables[bit] if lit > 0 else full ^ tables[bit]
+            elif lit > 0:
+                pos |= 1 << (bit - low)
             else:
-                high_lits.append((bit - low, lit > 0))
-        clause_info.append((low_mask, high_lits))
+                neg |= 1 << (bit - low)
+        if pos or neg:
+            outer_clauses.append((low_mask, pos, neg))
+        else:
+            base &= low_mask
 
     for h in range(1 << (n - low)):
-        alive = full
-        for low_mask, high_lits in clause_info:
-            if any((h >> hb & 1) == want for hb, want in high_lits):
+        alive = base
+        for low_mask, pos, neg in outer_clauses:
+            if h & pos or ~h & neg:
                 continue
             alive &= low_mask
             if not alive:

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from treesat import oracle
 from treesat.forge import FAMILIES, build_unit_chain, compose_two_trees, Closing
 from treesat.formula import Clause, build_formula, make_clause
 from treesat.oracle import (
@@ -131,12 +132,51 @@ def test_brute_force_unsat_counts_all_assignments():
 
 
 def test_brute_force_crosses_chunk_boundary():
-    # 22 variables spill past the 2**20 block size, so the high-part
-    # loop must run; the unit (x1) only holds in the upper half.
+    # 22 variables spill past the 2**16 block size, so the outer loop
+    # must run; the unit (x1) only holds in the upper half.
     f = build_formula([Clause((1,))], 22)
     verdict = brute_force_sat(f)
     assert verdict.model == {v: v == 1 for v in range(1, 23)}
     assert verdict.nodes == 2**21 + 1
+
+
+def _split_formula(rng, n, extra=()):
+    """Random clauses of width 1-3 over the variables on the outer bits of
+    the brute-force sweep (1..n - _CHUNK_BITS), over those in its block,
+    or over both, each literal of either sign."""
+    cut = n - oracle._CHUNK_BITS
+    outer, block = range(1, cut + 1), range(cut + 1, n + 1)
+    clauses = list(extra)
+    kinds = [(outer,)] + [(block, block), (outer, block), (outer, block, block)] * 3
+    for _ in range(rng.randint(n // 2, n)):
+        pools = rng.choice(kinds)
+        chosen = {rng.choice(pool) for pool in pools}
+        clause = make_clause(v if rng.random() < 0.5 else -v for v in chosen)
+        if clause is not None:
+            clauses.append(clause)
+    return build_formula(clauses, n)
+
+
+@pytest.mark.parametrize("n", [17, 18, 19, 20])
+def test_brute_force_blocks_match_a_single_block(n, monkeypatch):
+    # At 2**20 every n here fits one block, so there is no outer loop and
+    # no clause is swept into the base ahead of it.
+    rng = random.Random(n)
+    formulas = [_split_formula(rng, n) for _ in range(12)]
+    formulas.append(_split_formula(rng, n, [Clause(())]))
+    formulas.append(_split_formula(rng, n, [Clause((n,)), Clause((-n,))]))  # base is 0
+    blocked = [brute_force_sat(f) for f in formulas]
+    # Some models are found past the first block.
+    assert any(v.is_sat and v.nodes > 1 << oracle._CHUNK_BITS for v in blocked)
+    monkeypatch.setattr(oracle, "_CHUNK_BITS", 20)
+    assert [brute_force_sat(f) for f in formulas] == blocked
+
+
+def test_check_model_counts_a_missing_variable_as_false():
+    f = build_formula([Clause((1,)), Clause((-3,))], 3)
+    _check_model(f, {1: True})
+    with pytest.raises(AssertionError, match="model fails clause 2 3$"):
+        _check_model(build_formula([Clause((1,)), Clause((2, 3))], 3), {1: True})
 
 
 def test_brute_force_refuses_large_formulas():
