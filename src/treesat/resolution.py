@@ -20,9 +20,10 @@ traces keep their meaning, and deleting subsumed clauses keeps resolution
 refutation-complete (Bachmair & Ganzinger, "Resolution Theorem Proving",
 Handbook of Automated Reasoning, 2001).  The first recorded derivation of
 a clause is the one its decision chain reports.  A run ends at the first
-stored clause that subsumes its goal (`Budget`).  Without a width bound,
-a saturated store holds a subset of every clause the formula entails, so
-a unit missing from it is not entailed: the open depth-3 binomial tree
+stored clause that subsumes its goal (`Budget`).  A run that dropped an
+over-width resolvent and then ran out of clauses ends budget-exhausted,
+so a saturated store holds a subset of every clause the formula entails,
+and a unit missing from it is not entailed: the open depth-3 binomial tree
 saturates after 197 steps without its root unit, where it used to run
 out of the sweep budget.
 
@@ -120,8 +121,10 @@ class SaturationCounters(NamedTuple):
 
 
 class SaturationResult(NamedTuple):
-    """`stopped_by` names the budget that tripped ("max_clauses" or
-    "max_steps") when the status is BUDGET_EXHAUSTED, else None."""
+    """`stopped_by` names the budget that tripped ("max_clauses",
+    "max_steps", or "max_width" when the run dropped an over-width
+    resolvent and then ran out of clauses) when the status is
+    BUDGET_EXHAUSTED, else None."""
 
     status: SaturationStatus
     store: tuple[Clause, ...]
@@ -295,6 +298,9 @@ def saturate(formula: CnfFormula, budget: Budget | None = None) -> SaturationRes
                 break
         for lit in lits_g:
             occ.setdefault(lit, []).append(given)
+    if status is SaturationStatus.SATURATED and over_width:
+        # A dropped resolvent might have led to the goal.
+        status, stopped_by = SaturationStatus.BUDGET_EXHAUSTED, "max_width"
 
     counters = SaturationCounters(
         steps, len(trace), tautologies, duplicates, over_width, subsumed, retired

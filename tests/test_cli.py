@@ -290,6 +290,7 @@ def test_max_width_flag_limits_resolvents(capsys):
         capsys, "saturate", "--family", "unit-chain", "--k", "4", "--max-width", "1"
     )
     assert code == 0
+    assert out.splitlines()[:2] == ["status budget-exhausted", "stopped-by max_width"]
     assert "original 4 derived 0" in out
     assert "over-width" in out and "over-width 0" not in out
 

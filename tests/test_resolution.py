@@ -332,7 +332,8 @@ def test_step_budget_stops_work():
 
 def test_width_bound_filters_resolvents():
     result = saturate(build_unit_chain(4), Budget(max_width=1))
-    assert result.status is SaturationStatus.SATURATED
+    assert result.status is SaturationStatus.BUDGET_EXHAUSTED
+    assert result.stopped_by == "max_width"
     assert not result.derived
     assert result.counters.over_width > 0
 
@@ -377,6 +378,14 @@ def test_dominance_by_resolution():
     for lit in (99, 0):
         with pytest.raises(ValueError):
             is_dominant_by_resolution(chain, lit)
+
+
+def test_width_capped_dominance_is_not_shown_as_absent():
+    # Uncapped the root is DOMINANT; at width 1 the run drops resolvents
+    # and runs dry, which shows nothing about the root unit.
+    tree = build_binomial_tree(TreeSpec(k=6))
+    verdict = is_dominant_by_resolution(tree, 1, Budget(max_width=1))
+    assert verdict is ResolutionDominance.BUDGET_EXHAUSTED
 
 
 def test_replay_trace_reconstructs_the_store():
