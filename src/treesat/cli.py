@@ -104,20 +104,24 @@ def _write_output(path: str | None, text: str) -> None:
     file.  This is the one place the package writes a file.  The
     temporary name is random and made by open() in exclusive mode, so no
     existing file is reused and the result gets the mode a plain open()
-    gives.  newline="" writes the text's line endings as they are."""
+    gives.  newline="" writes the text's line endings as they are.  An
+    OSError names `path`, not the temporary file."""
     if path is None:
         sys.stdout.write(text)
         return
     directory, name = os.path.split(os.path.abspath(path))
     tmp = os.path.join(directory, f".treesat-{os.urandom(6).hex()}-{name}")
-    fh = open(tmp, "x", newline="")
     try:
-        with fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        fh = open(tmp, "x", newline="")
+        try:
+            with fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from exc
 
 
 def _add_family_flags(parser: argparse.ArgumentParser, required: bool) -> None:

@@ -421,6 +421,17 @@ def test_bench_writes_csv_and_svg(capsys, tmp_path):
     assert file_mode(csv_path) == file_mode(svg_path) == 0o644
 
 
+def test_a_failed_write_names_the_given_path(capsys, tmp_path):
+    target = str(tmp_path / "missing" / "x.csv")
+    code, _, err = run_cli(
+        capsys,
+        "bench", "--family", "unit-chain", "--k-min", "2", "--k-max", "2",
+        "--repetitions", "1", "--csv", target,
+    )
+    assert code == 1
+    assert target in err and ".treesat-" not in err
+
+
 def test_every_subcommand_draws_families_from_the_registry(capsys):
     subparsers = next(
         a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)
