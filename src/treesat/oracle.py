@@ -7,6 +7,12 @@ pure-literal elimination with a fixed branching rule (lowest variable id,
 True branch first).  Sat verdicts are re-verified against every clause
 before they are returned.
 
+Brute force evaluates the last 16 variables as one 2^16-bit truth table
+per clause, held in a Python integer, and loops over the values of the
+rest (the outer bits).  The clauses with no outer literal are ANDed
+together once, before that loop; at each outer value the others are
+skipped when an outer literal is true, and ANDed in otherwise.
+
 DPLL builds its state once per call: an occurrence list per literal,
 per-clause counts of true literals and of literals not yet false, a count
 per literal of the open clauses that hold it, and a heap of the open
@@ -31,7 +37,10 @@ from .formula import Clause, CnfFormula, make_clause
 BRUTE_FORCE_VAR_CAP = 28
 
 # Assignments are evaluated in blocks of 2**_CHUNK_BITS at once, as bit
-# vectors held in Python integers.
+# vectors held in Python integers.  On the compositions at k = 3 and 4
+# (17 and 27 variables), blocks of 12, 14, 16, 18 and 20 bits took 19, 4.6,
+# 2.1, 3.9 and 16 ms: small blocks loop in Python more, large ones AND
+# longer integers.
 _CHUNK_BITS = 16
 
 
@@ -85,12 +94,12 @@ def brute_force_sat(formula: CnfFormula) -> OracleVerdict:
         )
     # Mask bit n-i holds variable i so that integer order equals
     # lexicographic order over (x1, ..., xn) with False < True.  The low
-    # mask bits are swept as one truth-table block per iteration; the
-    # remaining high bits are enumerated by the outer loop.  A clause is
-    # split once into its block mask and the outer bits of its positive
-    # and negative literals.  Clauses with no outer literal are ANDed into
-    # `base` once; at each outer value h the others are skipped when an
-    # outer literal is already true, and ANDed in otherwise.
+    # _CHUNK_BITS (16) mask bits are swept as one truth-table block per
+    # iteration; the remaining high bits are enumerated by the outer loop.
+    # A clause is split once into its block mask and the outer bits of its
+    # positive and negative literals.  Clauses with no outer literal are
+    # ANDed into `base` once; at each outer value h the others are skipped
+    # when an outer literal is already true, and ANDed in otherwise.
     low = min(n, _CHUNK_BITS)
     size = 1 << low
     full = (1 << size) - 1
