@@ -94,12 +94,11 @@ def brute_force_sat(formula: CnfFormula) -> OracleVerdict:
         )
     # Mask bit n-i holds variable i so that integer order equals
     # lexicographic order over (x1, ..., xn) with False < True.  The low
-    # _CHUNK_BITS (16) mask bits are swept as one truth-table block per
-    # iteration; the remaining high bits are enumerated by the outer loop.
-    # A clause is split once into its block mask and the outer bits of its
-    # positive and negative literals.  Clauses with no outer literal are
-    # ANDed into `base` once; at each outer value h the others are skipped
-    # when an outer literal is already true, and ANDed in otherwise.
+    # _CHUNK_BITS mask bits are swept as one truth-table block per
+    # iteration; the outer loop enumerates the remaining high bits.  Each
+    # clause keeps its block mask and, as `pos` and `neg`, the outer bits
+    # of its positive and negative literals; one with neither is ANDed
+    # into `base` once, ahead of the outer loop.
     low = min(n, _CHUNK_BITS)
     size = 1 << low
     full = (1 << size) - 1

@@ -380,7 +380,7 @@ def test_dominance_by_resolution():
             is_dominant_by_resolution(chain, lit)
 
 
-def test_width_capped_dominance_is_not_shown_as_absent():
+def test_width_capped_dominance_run_is_budget_exhausted():
     # Uncapped the root is DOMINANT; at width 1 the run drops resolvents
     # and runs dry, which shows nothing about the root unit.
     tree = build_binomial_tree(TreeSpec(k=6))
