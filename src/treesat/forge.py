@@ -9,14 +9,18 @@ as binomial coefficients.  Closing the structure back onto the root
 variable turns the whole formula into a disguised unit clause.
 
 Generators are deterministic: same spec and seed give byte-identical
-DIMACS output.  The root variable is always registered first (id 1).
+DIMACS output.  The redundancy draw rests on `random.Random.getrandbits`
+alone, so it does not depend on how `random.shuffle` is written.  The
+root variable is always registered first (id 1).
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from collections import namedtuple
 from enum import Enum
+from itertools import accumulate
 from typing import Callable, NamedTuple
 
 from .formula import (
@@ -239,13 +243,17 @@ def parse_implicit(text: str) -> tuple[tuple[int, int], str]:
 
 
 def parse_redundancy(text: str) -> RedundancySpec:
-    """LEVEL.ROW:COUNT[:SEED]; the seed defaults to 0."""
+    """LEVEL.ROW:COUNT[:SEED]; the seed defaults to 0.  A negative seed is
+    refused: `random.Random` seeds with its absolute value, so it would
+    draw the clauses of another recipe."""
     node_text, _, numbers = text.partition(":")
     count_text, colon, seed_text = numbers.partition(":")
     try:
         count, seed = int(count_text), int(seed_text) if colon else 0
     except ValueError as exc:
         raise ValueError(f"expected redundancy as LEVEL.ROW:COUNT[:SEED], got {text!r}") from exc
+    if seed < 0:
+        raise ValueError(f"redundancy seed must be non-negative, got {seed}")
     return RedundancySpec(_parse_node(node_text), count, seed)
 
 
@@ -440,27 +448,63 @@ def _cone_slots(node: tuple[int, int], k: int) -> list[str]:
     ]
 
 
+def _seeded_permutation(n: int, seed: int) -> list[int]:
+    """`list(range(n))` permuted by the draws that `random.Random(seed)`
+    makes to shuffle it: for i from n - 1 down to 1, j is drawn from
+    `getrandbits` with the bit length of i + 1, again while j > i, and
+    positions i and j swap."""
+    order = list(range(n))
+    getrandbits = random.Random(seed).getrandbits
+    top = n - 1
+    while top > 0:
+        # The i in top..low all draw with the same number of bits.
+        bits = (top + 1).bit_length()
+        low = (1 << bits - 1) - 1
+        for i in range(top, low - 1, -1):
+            j = getrandbits(bits)
+            while j > i:
+                j = getrandbits(bits)
+            order[i], order[j] = order[j], order[i]
+        top = low - 1
+    return order
+
+
 def _add_redundancy(em: _Emitter, k: int, root_lit: int, red: RedundancySpec) -> None:
     """Append entailed extra clauses shaped like the node clause
     (~entry | u | v), with u, v drawn from the node's descendant cone.
 
     Wherever the entry variable is true the whole cone below it is forced
     true, so any such clause with at most one negated member is a logical
-    consequence; a seeded shuffle picks `count` of them, skipping clauses
-    already present."""
+    consequence.  The candidates are numbered, not built: first the pairs
+    (cone[i], cone[j]) with i < j, row by row, then (-cone[a], v) for each
+    v in the cone unequal to cone[a].  A seeded permutation of the
+    candidate indices picks `count` of them, skipping clauses already
+    present."""
     if red.count < 1:
         raise ValueError("count must be at least 1")
+    if red.seed < 0:
+        raise ValueError(f"redundancy seed must be non-negative, got {red.seed}")
     level, row = red.node
     cone = [em.lit(s) for s in _cone_slots(red.node, k)]
     if level == k:
         raise ValueError(f"node {red.node} has no descendant nodes (leaf level)")
     entry = root_lit if level == 1 else em.lit(slot_name(level, row), negated=True)
-    candidates = [(u, v) for i, u in enumerate(cone) for v in cone[i + 1 :]]
-    candidates += [(-u, v) for u in cone for v in cone if u != v]
-    random.Random(red.seed).shuffle(candidates)
+    m = len(cone)
+    # Substitutions and implicit nodes can repeat a literal in the cone,
+    # and a row of the second block leaves out every copy of its own.
+    lengths = [m - 1 - i for i in range(m)] + [m - cone.count(u) for u in cone]
+    starts = list(accumulate(lengths, initial=0))
     taken = {c.lits for c in em.clauses}
     fresh = []
-    for u, v in candidates:
+    for t in _seeded_permutation(starts[-1], red.seed):
+        r = bisect_right(starts, t) - 1
+        offset = t - starts[r]
+        if r < m:
+            u, v = cone[r], cone[r + 1 + offset]
+        else:
+            u = cone[r - m]
+            v = [w for w in cone if w != u][offset]
+            u = -u
         clause = make_clause([entry, u, v])
         if clause is not None and clause.width == 3 and clause.lits not in taken:
             taken.add(clause.lits)

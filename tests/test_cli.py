@@ -89,6 +89,13 @@ def test_generate_rejects_a_non_integer_redundancy_count(capsys):
     assert err == "error: expected redundancy as LEVEL.ROW:COUNT[:SEED], got '1.1:x'\n"
 
 
+def test_generate_rejects_a_negative_redundancy_seed(capsys):
+    code, out, err = run_cli(
+        capsys, "generate", "--family", "binomial", "--k", "4", "--redundancy", "1.1:3:-5"
+    )
+    assert (code, out, err) == (2, "", "error: redundancy seed must be non-negative, got -5\n")
+
+
 @pytest.mark.parametrize("flags, message", [
     (["--redundancy", "x:3"], "expected a node as LEVEL.ROW, got 'x'"),
     (["--implicit", "2.1"], "expected an implicit node as LEVEL.ROW=SLOT, got '2.1'"),

@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+import treesat.forge as forge
 from treesat.forge import (
     Alias,
     Closing,
@@ -14,8 +17,9 @@ from treesat.forge import (
     build_unit_chain,
     compose_two_trees,
     parse_closure,
+    parse_redundancy,
 )
-from treesat.formula import ROOT, Clause, parse_var_name, write_dimacs
+from treesat.formula import ROOT, Clause, make_clause, parse_var_name, slot_name, write_dimacs
 from treesat.oracle import dpll_sat, entails, is_dominant
 
 
@@ -325,6 +329,108 @@ def test_redundancy_validation():
     assert both.metadata["redundancy"] == "1.1:2:1"
     assert both.metadata["implicit"] == "2.1=s5.2"
     assert is_dominant(both, 1)
+
+
+def test_redundancy_refuses_a_negative_seed():
+    # random.Random seeds with abs(seed), so -5 would draw the clauses of 5.
+    message = "^redundancy seed must be non-negative, got -5$"
+    with pytest.raises(ValueError, match=message):
+        parse_redundancy("1.1:3:-5")
+    with pytest.raises(ValueError, match=message):
+        redundancy_clauses(4, (1, 1), 3, seed=-5)
+    assert parse_redundancy("1.1:3:5") == RedundancySpec((1, 1), 3, 5)
+    assert parse_redundancy("1.1:3:0") == parse_redundancy("1.1:3")
+
+
+def reference_add_redundancy(em, k, root_lit, red):
+    """The redundancy draw written out in full: build every candidate
+    pair, shuffle the list with `random.Random(seed)`, take the first
+    `count` new width-3 clauses."""
+    if red.count < 1:
+        raise ValueError("count must be at least 1")
+    level, row = red.node
+    cone = [em.lit(s) for s in forge._cone_slots(red.node, k)]
+    if level == k:
+        raise ValueError(f"node {red.node} has no descendant nodes (leaf level)")
+    entry = root_lit if level == 1 else em.lit(slot_name(level, row), negated=True)
+    candidates = [(u, v) for i, u in enumerate(cone) for v in cone[i + 1 :]]
+    candidates += [(-u, v) for u in cone for v in cone if u != v]
+    random.Random(red.seed).shuffle(candidates)
+    taken = {c.lits for c in em.clauses}
+    fresh = []
+    for u, v in candidates:
+        clause = make_clause([entry, u, v])
+        if clause is not None and clause.width == 3 and clause.lits not in taken:
+            taken.add(clause.lits)
+            fresh.append(clause)
+            if len(fresh) == red.count:
+                em.clauses += fresh
+                return
+    raise ValueError(
+        f"only {len(fresh)} distinct redundancy clauses exist for node {red.node}, "
+        f"requested {red.count}"
+    )
+
+
+def clauses_or_error(spec):
+    try:
+        return build_binomial_tree(spec).clauses
+    except ValueError as exc:
+        return str(exc)
+
+
+def with_redundancy(spec, nodes, seeds=range(6), counts=(1, 3, 10, 10**6)):
+    return [
+        spec._replace(redundancy=(RedundancySpec(node, count, seed),))
+        for node in nodes
+        for seed in seeds
+        for count in counts
+    ]
+
+
+def inner_nodes(k):
+    return [(level, row) for level in range(1, k) for row in range(1, level + 1)]
+
+
+GRID_SPECS = [s for k in range(2, 8) for s in with_redundancy(TreeSpec(k=k), inner_nodes(k))]
+
+# Substitutions and implicit nodes that put one literal into a cone twice
+# (z2 at s3.1 and s4.3; s3.1 read through s5.2; the root and its negation).
+REPEATED_LITERAL_SPECS = [
+    s
+    for base in (
+        TreeSpec(k=3, substitutions=(("s3.1", NamedLit("z2")), ("s4.3", NamedLit("z2")))),
+        TreeSpec(k=4, substitutions=(("s3.2", NamedLit(ROOT)), ("s5.3", NamedLit(ROOT, True)))),
+        TreeSpec(k=5, implicit_nodes=(((2, 1), "s5.2"), ((1, 1), "s4.4"))),
+        TreeSpec(
+            k=6,
+            closure=ClosureClause(2),
+            substitutions=(("s4.3", NamedLit("z1")), ("s6.1", NamedLit(ROOT, True))),
+            implicit_nodes=(((3, 2), "s6.4"),),
+            root_negated=True,
+        ),
+    )
+    for s in with_redundancy(base, inner_nodes(base.k))
+]
+
+# The closed trees of the perfbench `dominance` workload, with seeds drawn
+# as it draws them.
+_rng = random.Random(20261019)
+DOMINANCE_SPECS = [
+    s
+    for k in range(4, 13)
+    for s in with_redundancy(
+        TreeSpec(k=k), [(1, 1)], seeds=[_rng.randrange(2**32) for _ in range(4)], counts=(4,)
+    )
+]
+
+
+@pytest.mark.parametrize("specs", [GRID_SPECS, REPEATED_LITERAL_SPECS, DOMINANCE_SPECS],
+                         ids=["grid", "repeated-literals", "dominance"])
+def test_redundancy_draw_matches_a_shuffle_of_every_candidate(monkeypatch, specs):
+    drawn = [clauses_or_error(spec) for spec in specs]
+    monkeypatch.setattr(forge, "_add_redundancy", reference_add_redundancy)
+    assert [clauses_or_error(spec) for spec in specs] == drawn
 
 
 def test_parse_closure_round_trip():
