@@ -4,7 +4,7 @@ Runs saturation and DPLL across a depth range, records one row per
 (family, k, repetition), and fits log-log scaling exponents of work
 against instance size.  Fits are reported together with their residuals;
 nothing here asserts a growth rate.  Reports come back as text (CSV,
-SVG, a summary); writing them to files is the command line's job.
+a summary); writing them to files is the command line's job.
 """
 
 from __future__ import annotations
@@ -237,70 +237,3 @@ def summarize(records: Sequence[BenchRecord]) -> str:
         ))
     return "\n".join(lines)
 
-
-def scatter_svg(records: Sequence[BenchRecord]) -> str:
-    """SVG text of a log-log scatter of per-run work against variable
-    count: circles for DPLL nodes, squares for derived clauses."""
-    if not records:
-        raise ValueError("no records to plot")
-    width, height, margin = 640, 480, 60
-    node_pts = [(r.variables, r.dpll_nodes) for r in records if r.variables > 0 and r.dpll_nodes > 0]
-    derived_pts = [(r.variables, r.derived_clauses) for r in records if r.variables > 0 and r.derived_clauses > 0]
-    all_pts = node_pts + derived_pts
-    if not all_pts:
-        raise ValueError("no positive data points to plot")
-
-    min_x = min(math.log10(x) for x, _ in all_pts)
-    max_x = max(math.log10(x) for x, _ in all_pts)
-    min_y = min(math.log10(y) for _, y in all_pts)
-    max_y = max(math.log10(y) for _, y in all_pts)
-    span_x = (max_x - min_x) or 1.0
-    span_y = (max_y - min_y) or 1.0
-
-    def sx(x: float) -> float:
-        return margin + (math.log10(x) - min_x) / span_x * (width - 2 * margin)
-
-    def sy(y: float) -> float:
-        return height - margin - (math.log10(y) - min_y) / span_y * (height - 2 * margin)
-
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<line x1="{margin}" y1="{height - margin}" x2="{width - margin}" '
-        f'y2="{height - margin}" stroke="black"/>',
-        f'<line x1="{margin}" y1="{margin}" x2="{margin}" '
-        f'y2="{height - margin}" stroke="black"/>',
-        f'<text x="{width // 2}" y="{height - margin // 4}" text-anchor="middle" '
-        f'font-size="13">variables (log scale)</text>',
-        f'<text x="{margin // 4}" y="{height // 2}" font-size="13" '
-        f'transform="rotate(-90 {margin // 4} {height // 2})" '
-        f'text-anchor="middle">work (log scale)</text>',
-    ]
-    for power in range(math.floor(min_x), math.floor(max_x) + 1):
-        x = 10.0 ** power
-        if min_x <= power <= max_x:
-            parts.append(
-                f'<text x="{sx(x):.1f}" y="{height - margin + 16}" '
-                f'text-anchor="middle" font-size="11">1e{power}</text>'
-            )
-    for power in range(math.floor(min_y), math.floor(max_y) + 1):
-        y = 10.0 ** power
-        if min_y <= power <= max_y:
-            parts.append(
-                f'<text x="{margin - 6}" y="{sy(y):.1f}" '
-                f'text-anchor="end" font-size="11">1e{power}</text>'
-            )
-    for x, y in node_pts:
-        parts.append(f'<circle cx="{sx(x):.1f}" cy="{sy(y):.1f}" r="3.5" fill="steelblue"/>')
-    for x, y in derived_pts:
-        parts.append(
-            f'<rect x="{sx(x) - 3:.1f}" y="{sy(y) - 3:.1f}" width="6" height="6" fill="darkorange"/>'
-        )
-    parts.append(
-        f'<circle cx="{width - margin - 150}" cy="{margin}" r="3.5" fill="steelblue"/>'
-        f'<text x="{width - margin - 140}" y="{margin + 4}" font-size="12">dpll nodes</text>'
-        f'<rect x="{width - margin - 153}" y="{margin + 15}" width="6" height="6" fill="darkorange"/>'
-        f'<text x="{width - margin - 140}" y="{margin + 22}" font-size="12">derived clauses</text>'
-    )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"

@@ -13,7 +13,7 @@ import sys
 from contextlib import contextmanager
 from typing import Iterator, Sequence
 
-from .bench import default_sweep_budget, export_csv, run_sweep, scatter_svg, summarize
+from .bench import default_sweep_budget, export_csv, run_sweep, summarize
 from .counts import (
     binary_depth_for,
     binary_var_count,
@@ -317,8 +317,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
     )
     if args.csv is not None:
         _write_output(args.csv, export_csv(records))
-    if args.svg is not None:
-        _write_output(args.svg, scatter_svg(records))
     print(summarize(records))
     return 0
 
@@ -374,7 +372,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--repetitions", type=int, default=3)
     _add_budget_flags(p, default_sweep_budget())
     p.add_argument("--csv", help="write per-run records to this path")
-    p.add_argument("--svg", help="write a log-log scatter plot to this path")
     p.set_defaults(func=cmd_bench)
 
     return parser

@@ -11,7 +11,6 @@ from treesat.bench import (
     parse_csv,
     run_one,
     run_sweep,
-    scatter_svg,
     summarize,
 )
 
@@ -158,23 +157,6 @@ def test_summarize_handles_unfittable_columns():
     ]
     text = summarize(flat)
     assert "not enough positive points" in text
-
-
-def test_scatter_svg():
-    records = run_sweep(["binomial"], range(2, 6))
-    text = scatter_svg(records)
-    assert text.startswith("<svg ")
-    assert text.rstrip().endswith("</svg>")
-    assert "circle" in text and "darkorange" in text
-    assert "dpll nodes" in text and "derived clauses" in text
-
-
-def test_scatter_svg_rejects_empty_input():
-    with pytest.raises(ValueError, match="no records"):
-        scatter_svg([])
-    dead = [make_record(variables=0, dpll_nodes=0, derived_clauses=0)]
-    with pytest.raises(ValueError, match="no positive data"):
-        scatter_svg(dead)
 
 
 def test_timing_fields_can_be_normalized():

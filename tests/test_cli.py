@@ -6,7 +6,6 @@ import sys
 
 import pytest
 
-from treesat.bench import run_sweep, scatter_svg
 from treesat.cli import _build_parser, main
 from treesat.counts import binary_depth_for, binomial_depth_for
 from treesat.forge import (
@@ -404,15 +403,14 @@ def test_verify_rejects_unknown_check_names(capsys):
     capsys.readouterr()
 
 
-def test_bench_writes_csv_and_svg(capsys, tmp_path):
+def test_bench_writes_csv(capsys, tmp_path):
     csv_path = tmp_path / "out.csv"
-    svg_path = tmp_path / "out.svg"
     umask = os.umask(0o022)
     try:
         code, out, _ = run_cli(
             capsys,
             "bench", "--family", "unit-chain", "--k-min", "2", "--k-max", "4",
-            "--repetitions", "1", "--csv", str(csv_path), "--svg", str(svg_path),
+            "--repetitions", "1", "--csv", str(csv_path),
         )
     finally:
         os.umask(umask)
@@ -421,11 +419,9 @@ def test_bench_writes_csv_and_svg(capsys, tmp_path):
     assert "derived clauses ~" in out
     raw = csv_path.read_bytes()
     assert raw.endswith(b"\r\n") and raw.count(b"\n") == raw.count(b"\r\n") == 4
-    sweep = run_sweep(["unit-chain"], range(2, 5), repetitions=1)
-    assert svg_path.read_bytes() == scatter_svg(sweep).encode()
     leftovers = [p for p in os.listdir(tmp_path) if p.startswith(".treesat-")]
     assert leftovers == []
-    assert file_mode(csv_path) == file_mode(svg_path) == 0o644
+    assert file_mode(csv_path) == 0o644
 
 
 def test_a_failed_write_names_the_given_path(capsys, tmp_path):
