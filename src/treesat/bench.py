@@ -236,4 +236,3 @@ def summarize(records: Sequence[BenchRecord]) -> str:
             fit_power_law([(r.variables, r.dpll_nodes) for r in rows]),
         ))
     return "\n".join(lines)
-
