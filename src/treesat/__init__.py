@@ -19,10 +19,8 @@ from .formula import (
     write_dimacs,
 )
 from .forge import (
-    Alias,
     Closing,
     Closure,
-    ClosureClause,
     NamedLit,
     RedundancySpec,
     TreeSpec,

@@ -35,19 +35,13 @@ from .formula import (
 )
 
 
-class Alias(NamedTuple):
-    """Close the tree by writing the root literal into one boundary slot."""
+class Closure(NamedTuple):
+    """How a pair-sharing tree closes onto its root at boundary slot `row`:
+    kind "alias" writes the root literal into the slot, kind "clause"
+    adds the implication (~slot | root) instead."""
 
+    kind: str
     row: int = 1
-
-
-class ClosureClause(NamedTuple):
-    """Close the tree with an implication (~slot | root) instead."""
-
-    row: int = 1
-
-
-Closure = Alias | ClosureClause | None
 
 
 class NamedLit(namedtuple("NamedLit", "name negated")):
@@ -79,7 +73,7 @@ class TreeSpec(NamedTuple):
     substitutions and implicit nodes alias it."""
 
     k: int = 3
-    closure: Closure = Alias(1)
+    closure: Closure | None = Closure("alias")
     substitutions: tuple[tuple[str, NamedLit], ...] = ()
     implicit_nodes: tuple[tuple[tuple[int, int], str], ...] = ()
     redundancy: tuple[RedundancySpec, ...] = ()
@@ -159,16 +153,19 @@ def _emit_binomial(
     em: _Emitter,
     k: int,
     root_lit: int,
-    closure: Closure,
+    closure: Closure | None,
     alias_lit: int | None = None,
     tree: int = 0,
     implicit: frozenset[tuple[int, int]] = frozenset(),
 ) -> None:
     """Emit a depth-k pair-sharing tree entered through `root_lit`; an
     implicit node keeps only the first clause of its triple."""
+    kind = None if closure is None else closure.kind
+    if kind not in (None, "alias", "clause"):
+        raise ValueError(f"bad closure kind {kind!r}; expected alias or clause")
     if closure is not None and not 1 <= closure.row <= k + 1:
         raise ValueError(f"closure row {closure.row} outside boundary 1..{k + 1}")
-    if isinstance(closure, Alias):
+    if kind == "alias":
         if k == 1:
             # At k = 1 the alias would write the root into its own triple.
             raise ValueError("an alias closure needs depth at least 2 (use clause:ROW or none)")
@@ -184,7 +181,7 @@ def _emit_binomial(
             else:
                 _emit_triple(em, entry, a, b)
         entries = [-slot for slot in slots]
-    if isinstance(closure, ClosureClause):
+    if kind == "clause":
         em.add(em.lit(slot_name(k + 1, closure.row, tree), negated=True), root_lit)
 
 
@@ -193,22 +190,16 @@ def _emit_binomial(
 # read it back.
 
 
-def _closure_text(closure: Closure) -> str:
-    if isinstance(closure, Alias):
-        return f"alias:{closure.row}"
-    if isinstance(closure, ClosureClause):
-        return f"clause:{closure.row}"
-    return "none"
+def _closure_text(closure: Closure | None) -> str:
+    return "none" if closure is None else f"{closure.kind}:{closure.row}"
 
 
-def parse_closure(text: str) -> Closure:
+def parse_closure(text: str) -> Closure | None:
     if text == "none":
         return None
     kind, _, row = text.partition(":")
-    if kind == "alias" and row.isdigit():
-        return Alias(int(row))
-    if kind == "clause" and row.isdigit():
-        return ClosureClause(int(row))
+    if kind in ("alias", "clause") and row.isdigit():
+        return Closure(kind, int(row))
     raise ValueError(f"bad closure {text!r}; expected alias:ROW, clause:ROW, or none")
 
 
@@ -359,6 +350,14 @@ def build_binomial_tree(spec: TreeSpec) -> CnfFormula:
     return _finish(em, metadata | {key: ";".join(items) for key, items in tags.items() if items})
 
 
+def _aliased_slot(spec: TreeSpec) -> str | None:
+    """The boundary slot that an alias closure writes the root into."""
+    closure = spec.closure
+    if closure is None or closure.kind != "alias":
+        return None
+    return slot_name(spec.k + 1, closure.row)
+
+
 def _apply_substitutions(em: _Emitter, spec: TreeSpec) -> None:
     if not spec.substitutions:
         return
@@ -369,7 +368,7 @@ def _apply_substitutions(em: _Emitter, spec: TreeSpec) -> None:
             raise ValueError(f"substitution of a nonexistent slot {slot}")
         if slot in seen:
             raise ValueError(f"slot {slot} substituted twice")
-        if isinstance(spec.closure, Alias) and slot == slot_name(spec.k + 1, spec.closure.row):
+        if slot == _aliased_slot(spec):
             raise ValueError(f"slot {slot} was aliased away by the closure")
         if replacement.name != ROOT and replacement.name[0] != "z":
             raise ValueError("replacement must be the root or a fresh variable")
@@ -388,8 +387,8 @@ def compose_two_trees(k: int, closing: Closing) -> CnfFormula:
     em = _Emitter()
     root = em.lit(ROOT)
     flip = -1 if closing is Closing.CROSSED else 1
-    _emit_binomial(em, k, root, Alias(1), alias_lit=flip * root, tree=0)
-    _emit_binomial(em, k, -root, Alias(1), alias_lit=flip * -root, tree=1)
+    _emit_binomial(em, k, root, Closure("alias"), alias_lit=flip * root, tree=0)
+    _emit_binomial(em, k, -root, Closure("alias"), alias_lit=flip * -root, tree=1)
     return _finish(em, {"family": f"compose-{closing}", "k": str(k)})
 
 
@@ -537,8 +536,7 @@ def _bind_implicit(em: _Emitter, spec: TreeSpec) -> None:
             raise ValueError(f"{via} is not a descendant boundary slot of node {node}")
         if via == slot_name(level + 1, row):
             raise ValueError("cannot alias the node's left slot to itself")
-        aliased = isinstance(spec.closure, Alias) and via == slot_name(spec.k + 1, spec.closure.row)
-        if via in em.sub or aliased:
+        if via in em.sub or via == _aliased_slot(spec):
             raise ValueError(f"{via} was already substituted or aliased away")
         seen.add(node)
         em.bind(via, slot_name(level + 1, row))

@@ -24,8 +24,8 @@ from .counts import (
     count_paths,
 )
 from .forge import (
-    Alias,
     Closing,
+    Closure,
     NamedLit,
     RedundancySpec,
     TreeSpec,
@@ -144,7 +144,7 @@ def _check_pair_chain() -> tuple[bool, str]:
 @_register("path-counts", limit_seconds=5.0)
 def _check_path_counts() -> tuple[bool, str]:
     for k in range(1, 25):
-        for closure in (None, Alias(1)) if k >= 2 else (None,):
+        for closure in (None, Closure("alias")) if k >= 2 else (None,):
             formula = build_binomial_tree(TreeSpec(k=k, closure=closure))
             root = formula.atlas.id_of(ROOT)
             # The alias writes the root literal into boundary row 1.
@@ -209,7 +209,7 @@ def _check_two_trees() -> tuple[bool, str]:
 
 @_register("substitution-suite")
 def _check_substitutions() -> tuple[bool, str]:
-    closed = build_binomial_tree(TreeSpec(k=3, closure=Alias(1)))
+    closed = build_binomial_tree(TreeSpec(k=3, closure=Closure("alias")))
     if not is_dominant(closed, closed.atlas.id_of(ROOT), oracle=brute_force_sat):
         return False, "alias closure: root not dominant"
     opened = build_binomial_tree(TreeSpec(k=3, closure=None))
@@ -253,7 +253,7 @@ def _check_redundancy() -> tuple[bool, str]:
 def _check_implicit() -> tuple[bool, str]:
     via = "s5.2"
     closed = build_binomial_tree(TreeSpec(
-        k=4, closure=Alias(1), implicit_nodes=(((2, 1), via),),
+        k=4, closure=Closure("alias"), implicit_nodes=(((2, 1), via),),
     ))
     entry = closed.atlas.id_of("s2.1")
     left = closed.atlas.id_of("s3.1")

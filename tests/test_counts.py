@@ -10,8 +10,8 @@ from treesat.counts import (
     leaf_path_counts,
 )
 from treesat.forge import (
-    Alias,
     Closing,
+    Closure,
     TreeSpec,
     build_binary_tree,
     build_binomial_tree,
@@ -91,7 +91,7 @@ def boundary_rows(spec):
     root = formula.atlas.id_of(ROOT)
     root_lit = -root if spec.root_negated else root
     arrivals = count_paths(formula, root_lit)
-    aliased = spec.closure.row if isinstance(spec.closure, Alias) else None
+    aliased = spec.closure.row if spec.closure and spec.closure.kind == "alias" else None
     rows = tuple(
         arrivals.pop(root_lit if row == aliased else formula.atlas.id_of(slot_name(spec.k + 1, row)))
         for row in range(1, spec.k + 2)
@@ -106,8 +106,8 @@ def test_count_paths_reads_binomial_rows_off_built_trees():
         assert sum(leaf_path_counts(k)) == 2**k
     for k in range(2, 13):
         for row in (1, k // 2 + 1, k + 1):
-            assert boundary_rows(TreeSpec(k=k, closure=Alias(row))) == leaf_path_counts(k)
-            negated = TreeSpec(k=k, closure=Alias(row), root_negated=True)
+            assert boundary_rows(TreeSpec(k=k, closure=Closure("alias", row))) == leaf_path_counts(k)
+            negated = TreeSpec(k=k, closure=Closure("alias", row), root_negated=True)
             assert boundary_rows(negated) == leaf_path_counts(k)
     assert boundary_rows(TreeSpec(k=3)) == (1, 3, 3, 1)
 

@@ -4,9 +4,8 @@ import pytest
 
 import treesat.forge as forge
 from treesat.forge import (
-    Alias,
     Closing,
-    ClosureClause,
+    Closure,
     NamedLit,
     RedundancySpec,
     TreeSpec,
@@ -82,7 +81,7 @@ def test_binomial_tree_sizes_and_dominance():
 
 
 def test_closure_clause_variant():
-    f = build_binomial_tree(TreeSpec(k=2, closure=ClosureClause(1)))
+    f = build_binomial_tree(TreeSpec(k=2, closure=Closure("clause", 1)))
     assert clause_strings(f)[-1] == "1 -4"
     assert f.num_vars == 6
     assert f.metadata["closure"] == "clause:1"
@@ -105,21 +104,21 @@ def test_negated_root_flips_the_forced_literal():
 
 def test_closure_row_choice_and_bounds():
     for row in range(1, 4):
-        f = build_binomial_tree(TreeSpec(k=2, closure=Alias(row)))
+        f = build_binomial_tree(TreeSpec(k=2, closure=Closure("alias", row)))
         assert is_dominant(f, 1)
     with pytest.raises(ValueError):
-        build_binomial_tree(TreeSpec(k=2, closure=Alias(4)))
+        build_binomial_tree(TreeSpec(k=2, closure=Closure("alias", 4)))
     with pytest.raises(ValueError):
-        build_binomial_tree(TreeSpec(k=2, closure=ClosureClause(0)))
+        build_binomial_tree(TreeSpec(k=2, closure=Closure("clause", 0)))
 
 
 def test_depth_one_alias_degenerates_to_tautology():
-    for closure in (Alias(1), Alias(2)):
+    for closure in (Closure("alias", 1), Closure("alias", 2)):
         for negated in (False, True):
             with pytest.raises(ValueError, match="alias closure needs depth at least 2"):
                 build_binomial_tree(TreeSpec(k=1, closure=closure, root_negated=negated))
     assert build_binomial_tree(TreeSpec(k=1, closure=None)).num_clauses == 3
-    assert build_binomial_tree(TreeSpec(k=1, closure=ClosureClause(1))).num_clauses == 4
+    assert build_binomial_tree(TreeSpec(k=1, closure=Closure("clause", 1))).num_clauses == 4
 
 
 def test_spec_variant_guard():
@@ -265,7 +264,7 @@ def test_implicit_node_narrows_its_clause_to_width_two():
     spec = TreeSpec(k=3, implicit_nodes=(((1, 1), "s2.2"),))
     narrow = [str(c) for c in build_binomial_tree(spec).clauses if c.width == 2]
     assert narrow == ["1 2"]
-    closed = spec._replace(closure=ClosureClause(1))
+    closed = spec._replace(closure=Closure("clause", 1))
     narrow = [str(c) for c in build_binomial_tree(closed).clauses if c.width == 2]
     assert narrow == ["1 2", "1 -6"]
 
@@ -404,7 +403,7 @@ REPEATED_LITERAL_SPECS = [
         TreeSpec(k=5, implicit_nodes=(((2, 1), "s5.2"), ((1, 1), "s4.4"))),
         TreeSpec(
             k=6,
-            closure=ClosureClause(2),
+            closure=Closure("clause", 2),
             substitutions=(("s4.3", NamedLit("z1")), ("s6.1", NamedLit(ROOT, True))),
             implicit_nodes=(((3, 2), "s6.4"),),
             root_negated=True,
@@ -434,15 +433,26 @@ def test_redundancy_draw_matches_a_shuffle_of_every_candidate(monkeypatch, specs
 
 
 def test_parse_closure_round_trip():
-    # Records of two kinds with equal fields compare equal as tuples, so
-    # the kind is checked on its own.
-    alias, clause = parse_closure("alias:2"), parse_closure("clause:1")
-    assert type(alias) is Alias and alias == Alias(2)
-    assert type(clause) is ClosureClause and clause == ClosureClause(1)
+    assert parse_closure("alias:2") == Closure("alias", 2)
+    assert parse_closure("clause:1") == Closure("clause", 1)
     assert parse_closure("none") is None
     for bad in ("alias", "alias:x", "clause:", "pivot:1"):
         with pytest.raises(ValueError):
             parse_closure(bad)
+
+
+def test_closures_of_two_kinds_differ():
+    alias, clause = Closure("alias", 1), Closure("clause", 1)
+    assert alias != clause
+    by_alias, by_clause = TreeSpec(closure=alias), TreeSpec(closure=clause)
+    assert by_alias != by_clause and hash(by_alias) != hash(by_clause)
+    assert write_dimacs(build_binomial_tree(by_alias)) != write_dimacs(build_binomial_tree(by_clause))
+
+
+def test_binomial_tree_refuses_an_unknown_closure_kind():
+    for kind in ("pivot", "none", "Alias"):
+        with pytest.raises(ValueError, match=f"bad closure kind '{kind}'"):
+            build_binomial_tree(TreeSpec(k=3, closure=Closure(kind, 1)))
 
 
 def test_named_lit_parse():

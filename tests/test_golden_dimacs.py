@@ -16,8 +16,7 @@ from treesat.cli import main
 from treesat.counts import count_paths
 from treesat.forge import (
     FAMILIES,
-    Alias,
-    ClosureClause,
+    Closure,
     NamedLit,
     RedundancySpec,
     TreeSpec,
@@ -50,12 +49,12 @@ SPECS = {
     "redundancy": TreeSpec(k=5, redundancy=(
         RedundancySpec((1, 1), 7, seed=3), RedundancySpec((3, 2), 2, seed=11),
     )),
-    "closure-clause": TreeSpec(k=6, closure=ClosureClause(4)),
+    "closure-clause": TreeSpec(k=6, closure=Closure("clause", 4)),
     "open": TreeSpec(k=6, closure=None),
-    "root-negated": TreeSpec(k=6, closure=Alias(3), root_negated=True),
+    "root-negated": TreeSpec(k=6, closure=Closure("alias", 3), root_negated=True),
     "everything": TreeSpec(
         k=6,
-        closure=ClosureClause(2),
+        closure=Closure("clause", 2),
         substitutions=(("s4.3", fresh(1)), ("s6.1", NamedLit(ROOT, negated=True))),
         implicit_nodes=(((3, 2), "s6.4"),),
         redundancy=(RedundancySpec((2, 2), 5, seed=8),),
