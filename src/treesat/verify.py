@@ -16,13 +16,7 @@ import time
 from typing import Callable, NamedTuple, Sequence
 
 from .bench import COLUMNS, export_csv, fit_power_law, parse_csv, run_sweep, uncensored
-from .counts import (
-    binary_depth_for,
-    binary_var_count,
-    binomial_depth_for,
-    binomial_var_count,
-    count_paths,
-)
+from .counts import binary_var_count, binomial_var_count, count_paths
 from .forge import (
     Closing,
     Closure,
@@ -174,10 +168,7 @@ def _check_depth_formulas() -> tuple[bool, str]:
         for want, formula in built:
             if formula.num_vars != want:
                 return False, f"{formula.metadata}: {formula.num_vars} variables, closed form {want}"
-    for k in range(1001):
-        if binomial_depth_for(binomial_var_count(k)) != k or binary_depth_for(binary_var_count(k)) != k:
-            return False, f"depth round trip fails at k={k}"
-    return True, "built binomial trees and compositions k<=30 and binary trees k<=12 have the closed-form variable counts; k=0..1000: depth formulas invert the counts"
+    return True, "built binomial trees and compositions k<=30 and binary trees k<=12 have the closed-form variable counts"
 
 
 @_register("two-tree-verdicts")
