@@ -10,18 +10,11 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from contextlib import contextmanager
-from typing import Iterator, Sequence
+from collections import Counter
+from typing import Sequence
 
 from .bench import default_sweep_budget, export_csv, run_sweep, summarize
-from .counts import (
-    binary_depth_for,
-    binary_var_count,
-    binomial_depth_for,
-    binomial_var_count,
-    candidate_combinations,
-    leaf_path_counts,
-)
+from .counts import count_paths
 from .forge import (
     FAMILIES,
     TreeSpec,
@@ -244,60 +237,22 @@ def cmd_saturate(args: argparse.Namespace) -> int:
     return 0
 
 
-@contextmanager
-def _any_digits() -> Iterator[None]:
-    """Convert ints of any size to and from text.  Python 3.10.7 and
-    later refuse an int of over 4,300 digits by default; lift that limit
-    for the block and put it back."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit:
-        sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        if limit:
-            sys.set_int_max_str_digits(limit)
-
-
-def _print_exact(*values: object) -> None:
-    with _any_digits():
-        print(*values)
-
-
-def _exact_int(text: str) -> int:
-    """argparse's int, for any number of digits."""
-    with _any_digits():
-        try:
-            return int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+def _lit_label(formula: CnfFormula, lit: int) -> str:
+    return ("~" if lit < 0 else "") + _var_label(formula, abs(lit))
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    actions = [args.paths, args.vars, args.depth_for is not None, args.combinations is not None]
-    if sum(actions) != 1:
-        raise ValueError("pick exactly one of --paths, --vars, --depth-for, --combinations")
-    if args.paths or args.vars:
-        if args.k is None:
-            raise ValueError("--k is required")
-    if args.paths:
-        if args.tree == "binary":
-            raise ValueError("--paths counts the binomial tree only; drop --tree binary")
-        rows = leaf_path_counts(args.k)
-        _print_exact(*rows, "total", sum(rows))
-        return 0
-    binary = args.tree == "binary"
-    if args.vars:
-        _print_exact(binary_var_count(args.k) if binary else binomial_var_count(args.k))
-        return 0
-    if args.depth_for is not None:
-        n = args.depth_for
-        _print_exact(binary_depth_for(n) if binary else binomial_depth_for(n))
-        return 0
-    if args.tree is not None:
-        raise ValueError("--tree does not apply to --combinations")
-    m, k = args.combinations
-    _print_exact(candidate_combinations(m, k))
+    formula = _input_formula(args)
+    widths = Counter(clause.width for clause in formula.clauses)
+    print(f"num_vars {formula.num_vars}")
+    print(f"clauses {formula.num_clauses}")
+    print("clauses by width", *(f"{width}={n}" for width, n in sorted(widths.items())))
+    # The root is variable 1; its two literals enter the tree and, in a
+    # composition, the second tree.
+    for entry in (1, -1):
+        arrivals = count_paths(formula, entry)
+        ends = (f"{_lit_label(formula, lit)}={arrivals[lit]}" for lit in sorted(arrivals, key=abs))
+        print(f"paths from {_lit_label(formula, entry)}:", *ends, "total", sum(arrivals.values()))
     return 0
 
 
@@ -349,16 +304,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dot", help="write the picked chain's ancestry as Graphviz dot")
     p.set_defaults(func=cmd_saturate)
 
-    p = sub.add_parser("analyze", help="counts and closed forms")
-    p.add_argument("--paths", action="store_true", help="path counts per boundary row")
-    p.add_argument("--vars", action="store_true", help="variable count of a tree")
-    p.add_argument("--depth-for", type=_exact_int, metavar="N", help="largest depth whose tree fits N variables")
-    p.add_argument("--combinations", type=int, nargs=2, metavar=("M", "K"), help="selection combinations")
-    p.add_argument("--k", type=int, help="depth for --paths/--vars")
-    p.add_argument(
-        "--tree", choices=("binomial", "binary"),
-        help="tree for --vars/--depth-for (default binomial); --paths counts binomial only",
-    )
+    p = sub.add_parser("analyze", help="read sizes and root paths off a formula")
+    p.add_argument("--in", dest="input", help="DIMACS input path")
+    _add_family_flags(p, required=False)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("verify", help="run the verification checklist")

@@ -1,23 +1,15 @@
-"""Closed-form size formulas and path counts read off a built formula.
+"""Path counts read off a built formula, and the closed-form variable
+counts of the two trees.
 
-Everything here is exact integer arithmetic.  `count_paths` walks the
-decision triples of a formula that `forge` built, so the closed forms
-are checked against the clause list, not against a restatement of them.
+`count_paths` walks the decision triples of a formula's clause list, so
+`treesat analyze` and the verification checks count what `forge` built,
+not a restatement of it.  The `depth-formulas` check compares the
+variable counts of built formulas with the closed forms here.
 """
 
 from __future__ import annotations
 
-import math
-
 from .formula import CnfFormula
-
-
-def binary_depth_for(n: int) -> int:
-    """Largest depth k whose perfect binary tree fits n variables:
-    k = floor(log2(n + 1)) - 1, floored at 0."""
-    if n < 1:
-        raise ValueError("variable count must be positive")
-    return max(0, (n + 1).bit_length() - 2)
 
 
 def binary_var_count(k: int) -> int:
@@ -32,32 +24,6 @@ def binomial_var_count(k: int) -> int:
     if k < 0:
         raise ValueError("depth must be non-negative")
     return (k + 1) * (k + 2) // 2
-
-
-def binomial_depth_for(n: int) -> int:
-    """Largest k with (k+1)(k+2)/2 <= n, via exact integer square root:
-    k = floor((sqrt(8n + 1) - 3) / 2), floored at 0."""
-    if n < 1:
-        raise ValueError("variable count must be positive")
-    s = math.isqrt(8 * n + 1)
-    return max(0, (s - 3) // 2)
-
-
-def candidate_combinations(m: int, k: int) -> int:
-    """Assignment combinations for k independent m-way choices: m**k."""
-    if m < 2:
-        raise ValueError("at least two choices per step are required")
-    if k < 1:
-        raise ValueError("at least one step is required")
-    return m**k
-
-
-def leaf_path_counts(k: int) -> tuple[int, ...]:
-    """Closed-form path counts per boundary row: entry i is C(k, i), the
-    paths arriving at row i + 1; together they total 2**k."""
-    if k < 0:
-        raise ValueError("depth must be non-negative")
-    return tuple(math.comb(k, i) for i in range(k + 1))
 
 
 def count_paths(formula: CnfFormula, entry: int) -> dict[int, int]:

@@ -2,12 +2,10 @@ import argparse
 import os
 import random
 import stat
-import sys
 
 import pytest
 
 from treesat.cli import _build_parser, main
-from treesat.counts import binary_depth_for, binomial_depth_for
 from treesat.forge import (
     FAMILIES,
     Closing,
@@ -203,6 +201,7 @@ def test_solve_input_errors(capsys, tmp_path):
     assert code == 1 and "error:" in err
 
 
+
 def test_saturate_reports_match_the_engine(capsys):
     result = saturate(build_unit_chain(3))
     c = result.counters
@@ -301,93 +300,27 @@ def test_max_width_flag_limits_resolvents(capsys):
     assert "over-width" in out and "over-width 0" not in out
 
 
+ANALYZE_BINOMIAL_3 = """\
+num_vars 9
+clauses 18
+clauses by width 3=18
+paths from x1.1: x1.1=1 s4.2=3 s4.3=3 s4.4=1 total 8
+paths from ~x1.1: total 0
+"""
+
+
 def test_analyze_paths(capsys):
-    for tree in ((), ("--tree", "binomial")):
-        code, out, _ = run_cli(capsys, "analyze", "--paths", "--k", "3", *tree)
-        assert code == 0 and out == "1 3 3 1 total 8\n"
-    # The rows are the closed form, so any depth answers at once.
-    code, out, _ = run_cli(capsys, "analyze", "--paths", "--k", "30")
-    assert code == 0
-    assert out.startswith("1 30 435 ") and out.endswith("total 1073741824\n")
+    # Row 1 of the boundary is aliased to the root, so its one path
+    # arrives at x1.1; the rows hold C(3, r - 1) paths, 2^3 in all.
+    code, out, err = run_cli(capsys, "analyze", "--family", "binomial", "--k", "3")
+    assert (code, out, err) == (0, ANALYZE_BINOMIAL_3, "")
 
 
-@pytest.mark.parametrize(
-    "argv,message",
-    [
-        (["--paths", "--k", "3", "--tree", "binary"], "--paths counts the binomial tree only; drop --tree binary"),
-        (["--combinations", "3", "4", "--tree", "binomial"], "--tree does not apply to --combinations"),
-        (["--combinations", "3", "4", "--tree", "binary"], "--tree does not apply to --combinations"),
-    ],
-)
-def test_analyze_rejects_a_tree_it_would_ignore(capsys, argv, message):
-    code, out, err = run_cli(capsys, "analyze", *argv)
-    assert (code, out, err) == (2, "", f"error: {message}\n")
-
-
-def test_analyze_paths_matches_spec_row(capsys):
-    # A depth-3 tree has one path to each outer row and three to each
-    # inner row of the boundary; the total is every selection sequence.
-    _, out, _ = run_cli(capsys, "analyze", "--paths", "--k", "3")
-    rows = out.split()
-    assert rows[:4] == ["1", "3", "3", "1"]
-
-
-def test_analyze_vars_and_depths(capsys):
-    assert run_cli(capsys, "analyze", "--vars", "--k", "5")[1] == "21\n"
-    assert run_cli(capsys, "analyze", "--vars", "--k", "5", "--tree", "binary")[1] == "63\n"
-    assert run_cli(capsys, "analyze", "--depth-for", "21")[1] == "5\n"
-    assert run_cli(capsys, "analyze", "--depth-for", "63", "--tree", "binary")[1] == "5\n"
-
-
-def test_analyze_combinations(capsys):
-    code, out, _ = run_cli(capsys, "analyze", "--combinations", "3", "4")
-    assert code == 0 and out == "81\n"
-
-
-def decimal_value(text):
-    """The int a decimal string spells, read in chunks short enough for
-    any limit on int conversion."""
-    value = 0
-    for i in range(0, len(text), 1000):
-        chunk = text[i : i + 1000]
-        value = value * 10 ** len(chunk) + int(chunk)
-    return value
-
-
-@pytest.mark.parametrize("argv, value", [
-    (("--combinations", "2", "20000"), 2**20000),
-    (("--vars", "--tree", "binary", "--k", "20000"), 2**20001 - 1),
-], ids=["combinations", "binary-vars"])
-def test_analyze_prints_results_over_the_digit_limit(capsys, argv, value):
-    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
-    code, out, err = run_cli(capsys, "analyze", *argv)
-    assert code == 0 and err == ""
-    assert out.endswith("\n") and decimal_value(out[:-1]) == value
-    assert len(out) > 6000
-    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
-
-
-def test_analyze_depth_for_reads_a_count_over_the_digit_limit(capsys):
-    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
-    nines = "9" * 5000
-    n = decimal_value(nines)
-    for tree, depth in (("binomial", binomial_depth_for(n)), ("binary", binary_depth_for(n))):
-        code, out, err = run_cli(capsys, "analyze", "--depth-for", nines, "--tree", tree)
-        assert (code, err) == (0, "") and decimal_value(out[:-1]) == depth
-    with pytest.raises(SystemExit) as exc:
-        main(["analyze", "--depth-for", "x"])
-    assert exc.value.code == 2
-    assert capsys.readouterr().err.endswith("argument --depth-for: invalid int value: 'x'\n")
-    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
-
-
-def test_analyze_requires_exactly_one_action(capsys):
-    code, _, err = run_cli(capsys, "analyze")
-    assert code == 2 and "exactly one" in err
-    code, _, err = run_cli(capsys, "analyze", "--paths", "--vars", "--k", "3")
-    assert code == 2
-    code, _, err = run_cli(capsys, "analyze", "--paths")
-    assert code == 2 and "--k is required" in err
+def test_analyze_reads_the_same_lines_off_the_generated_file(capsys, tmp_path):
+    path = tmp_path / "tree3.cnf"
+    run_cli(capsys, "generate", "--family", "binomial", "--k", "3", "--out", str(path))
+    code, out, err = run_cli(capsys, "analyze", "--in", str(path))
+    assert (code, out, err) == (0, ANALYZE_BINOMIAL_3, "")
 
 
 def test_verify_only_named_check(capsys):
@@ -439,7 +372,7 @@ def test_every_subcommand_draws_families_from_the_registry(capsys):
     subparsers = next(
         a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)
     )
-    for name in ("generate", "solve", "saturate", "bench"):
+    for name in ("generate", "solve", "saturate", "analyze", "bench"):
         family = next(
             a for a in subparsers.choices[name]._actions if a.dest == "family"
         )
@@ -620,15 +553,7 @@ def fuzz_argv(rng, tmp_path, n):
         if rng.random() < 0.3:
             argv += ["--trace", str(tmp_path / f"t{n}.trace")]
     elif sub == "analyze":
-        argv = rng.sample(["--paths", "--vars"], rng.randint(0, 2))
-        if rng.random() < 0.8:
-            argv += ["--k", str(rng.choice([-2, -1, 0, 1, 3, 12, 30]))]
-        if rng.random() < 0.3:
-            argv += ["--depth-for", str(rng.randint(-5, 100))]
-        if rng.random() < 0.3:
-            argv += ["--combinations", str(rng.randint(-2, 6)), str(rng.randint(-2, 6))]
-        if rng.random() < 0.3:
-            argv += ["--tree", rng.choice(["binary", "binomial", "bogus"])]
+        argv = fuzz_input(rng, tmp_path, n)
     elif sub == "verify":
         argv = rng.choice([[], ["--only"]]) + ["--only", rng.choice(["substitution-suite", "bogus"])]
     else:
@@ -638,7 +563,7 @@ def fuzz_argv(rng, tmp_path, n):
             "--repetitions", str(rng.randint(-1, 2)), "--max-clauses", str(rng.randint(1, 200)),
         ]
         if rng.random() < 0.3:
-            argv += ["--csv", str(tmp_path / f"b{n}.csv"), "--svg", str(tmp_path / f"b{n}.svg")]
+            argv += ["--csv", str(tmp_path / f"b{n}.csv")]
     argv = [sub] + argv
     if rng.random() < 0.15:
         argv.insert(rng.randint(1, len(argv)), rng.choice(["--k", "-1", "--bogus", ""]))

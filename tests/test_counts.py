@@ -1,14 +1,8 @@
+import math
+
 import pytest
 
-from treesat.counts import (
-    binary_depth_for,
-    binary_var_count,
-    binomial_depth_for,
-    binomial_var_count,
-    candidate_combinations,
-    count_paths,
-    leaf_path_counts,
-)
+from treesat.counts import binary_var_count, binomial_var_count, count_paths
 from treesat.forge import (
     Closing,
     Closure,
@@ -38,50 +32,10 @@ def pascal_rows(k: int) -> list[tuple[int, ...]]:
     return rows
 
 
-def test_binary_size_round_trip():
-    for k in range(13):
-        n = binary_var_count(k)
-        assert n == 2 ** (k + 1) - 1
-        assert 2**k == (n + 1) // 2
-        assert binary_depth_for(n) == k
-        assert binary_depth_for(n + 1) == k
-        if n > 1:
-            assert binary_depth_for(n - 1) == k - 1
-
-
-def test_binomial_size_round_trip():
-    for k in range(1001):
-        n = binomial_var_count(k)
-        assert n == (k + 1) * (k + 2) // 2
-        assert binomial_depth_for(n) == k
-        if n > 1:
-            assert binomial_depth_for(n - 1) == k - 1
-
-
 def test_size_formula_validation():
-    for fn in (binary_depth_for, binomial_depth_for):
-        with pytest.raises(ValueError):
-            fn(0)
-    for fn in (binary_var_count, binomial_var_count, leaf_path_counts, pascal_rows):
+    for fn in (binary_var_count, binomial_var_count, pascal_rows):
         with pytest.raises(ValueError):
             fn(-1)
-
-
-def test_candidate_combinations():
-    for m in range(2, 6):
-        for k in range(1, 31):
-            expected = 1
-            for _ in range(k):
-                expected *= m
-            assert candidate_combinations(m, k) == expected
-    with pytest.raises(ValueError):
-        candidate_combinations(1, 3)
-    with pytest.raises(ValueError):
-        candidate_combinations(2, 0)
-
-
-def test_leaf_path_counts_golden():
-    assert leaf_path_counts(3) == (1, 3, 3, 1)
 
 
 def boundary_rows(spec):
@@ -101,14 +55,15 @@ def boundary_rows(spec):
 
 
 def test_count_paths_reads_binomial_rows_off_built_trees():
+    rows = pascal_rows(12)
     for k in range(1, 13):
-        assert boundary_rows(TreeSpec(k=k, closure=None)) == leaf_path_counts(k)
-        assert sum(leaf_path_counts(k)) == 2**k
+        assert boundary_rows(TreeSpec(k=k, closure=None)) == rows[k]
+        assert sum(rows[k]) == 2**k
     for k in range(2, 13):
         for row in (1, k // 2 + 1, k + 1):
-            assert boundary_rows(TreeSpec(k=k, closure=Closure("alias", row))) == leaf_path_counts(k)
+            assert boundary_rows(TreeSpec(k=k, closure=Closure("alias", row))) == rows[k]
             negated = TreeSpec(k=k, closure=Closure("alias", row), root_negated=True)
-            assert boundary_rows(negated) == leaf_path_counts(k)
+            assert boundary_rows(negated) == rows[k]
     assert boundary_rows(TreeSpec(k=3)) == (1, 3, 3, 1)
 
 
@@ -138,4 +93,4 @@ def test_pascal_rows_recurrence():
     rows = pascal_rows(4)
     assert rows == [(1,), (1, 1), (1, 2, 1), (1, 3, 3, 1), (1, 4, 6, 4, 1)]
     for k in range(11):
-        assert pascal_rows(k)[-1] == leaf_path_counts(k)
+        assert pascal_rows(k)[-1] == tuple(math.comb(k, i) for i in range(k + 1))
