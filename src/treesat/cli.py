@@ -84,8 +84,12 @@ def _input_formula(args: argparse.Namespace) -> CnfFormula:
         for dest in ("family", "k", *(d for dests in _OWN_FLAGS.values() for d in dests)):
             if getattr(args, dest) is not None:
                 raise ValueError(f"{_flag(dest)} builds a family and cannot be used with --in")
-        with open(args.input) as fh:
-            return parse_dimacs(fh.read())
+        try:
+            with open(args.input, encoding="utf-8") as fh:
+                text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise DimacsError(f"{args.input}: not UTF-8 text (byte {exc.start})") from None
+        return parse_dimacs(text)
     if args.family is None:
         raise ValueError("give either --in FILE or --family/--k")
     return _family_formula(args)

@@ -201,6 +201,13 @@ def test_solve_input_errors(capsys, tmp_path):
     assert code == 1 and "error:" in err
 
 
+def test_a_file_that_is_not_utf8_is_a_bad_file(capsys, tmp_path):
+    path = tmp_path / "latin.cnf"
+    path.write_bytes(b"c \xe3\x28\xff\np cnf 1 1\n1 0\n")
+    code, out, err = run_cli(capsys, "solve", "--in", str(path))
+    assert (code, out) == (1, "")
+    assert err == f"error: {path}: not UTF-8 text (byte 2)\n"
+
 
 def test_saturate_reports_match_the_engine(capsys):
     result = saturate(build_unit_chain(3))
