@@ -323,6 +323,13 @@ def test_analyze_paths(capsys):
     assert (code, out, err) == (0, ANALYZE_BINOMIAL_3, "")
 
 
+def test_analyze_paths_matches_spec_row(capsys):
+    # Without the closure a depth-3 tree has one path to each outer row
+    # and three to each inner row of the boundary.
+    _, out, _ = run_cli(capsys, "analyze", "--family", "binomial", "--k", "3", "--closure", "none")
+    assert "paths from x1.1: s4.1=1 s4.2=3 s4.3=3 s4.4=1 total 8\n" in out
+
+
 def test_analyze_reads_the_same_lines_off_the_generated_file(capsys, tmp_path):
     path = tmp_path / "tree3.cnf"
     run_cli(capsys, "generate", "--family", "binomial", "--k", "3", "--out", str(path))
