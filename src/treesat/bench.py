@@ -16,6 +16,7 @@ import time
 from typing import Iterable, NamedTuple, Sequence
 
 from .forge import FAMILIES
+from .formula import parse_int
 from .oracle import dpll_sat
 from .resolution import Budget, SaturationStatus, saturate
 
@@ -49,49 +50,20 @@ def default_sweep_budget() -> Budget:
 
 
 def run_one(family: str, k: int, repetition: int, budget: Budget) -> BenchRecord:
-    """Build one instance and time saturation and DPLL on it.  A failure in
-    either phase is recorded in the corresponding status column."""
-    try:
-        formula = FAMILIES[family](k)
-    except Exception as exc:
-        label = f"error:{type(exc).__name__}"
-        return BenchRecord(family, k, repetition, 0, 0, label, 0, 0, 0.0, label, 0, 0.0)
-
+    """Build one instance and time saturation and DPLL on it.  A family
+    that cannot be built at depth k raises its generator's ValueError."""
+    formula = FAMILIES[family](k)
     start = time.perf_counter()
-    try:
-        res = saturate(formula, budget)
-        sat_status = str(res.status)
-        sat_steps = res.counters.steps
-        derived = len(res.derived)
-    except Exception as exc:
-        sat_status = f"error:{type(exc).__name__}"
-        sat_steps = 0
-        derived = 0
+    res = saturate(formula, budget)
     sat_seconds = time.perf_counter() - start
-
     start = time.perf_counter()
-    try:
-        verdict = dpll_sat(formula)
-        dpll_verdict = str(verdict.status)
-        dpll_nodes = verdict.nodes
-    except Exception as exc:
-        dpll_verdict = f"error:{type(exc).__name__}"
-        dpll_nodes = 0
+    verdict = dpll_sat(formula)
     dpll_seconds = time.perf_counter() - start
 
     return BenchRecord(
-        family=family,
-        k=k,
-        repetition=repetition,
-        variables=formula.num_vars,
-        clauses=len(formula.clauses),
-        saturation_status=sat_status,
-        saturation_steps=sat_steps,
-        derived_clauses=derived,
-        saturation_seconds=sat_seconds,
-        dpll_verdict=dpll_verdict,
-        dpll_nodes=dpll_nodes,
-        dpll_seconds=dpll_seconds,
+        family, k, repetition, formula.num_vars, len(formula.clauses),
+        str(res.status), res.counters.steps, len(res.derived), sat_seconds,
+        str(verdict.status), verdict.nodes, dpll_seconds,
     )
 
 
@@ -149,7 +121,7 @@ def parse_csv(text: str) -> list[BenchRecord]:
             elif name in _FLOAT_COLUMNS:
                 values[name] = float(raw)
             else:
-                values[name] = int(raw)
+                values[name] = parse_int(raw)
         records.append(BenchRecord(**values))
     return records
 

@@ -25,7 +25,15 @@ from .forge import (
     parse_redundancy,
     parse_substitution,
 )
-from .formula import Clause, CnfFormula, DimacsError, make_clause, parse_dimacs, write_dimacs
+from .formula import (
+    Clause,
+    CnfFormula,
+    DimacsError,
+    make_clause,
+    parse_dimacs,
+    parse_int,
+    write_dimacs,
+)
 from .oracle import brute_force_sat, dpll_sat
 from .resolution import (
     Budget,
@@ -128,7 +136,7 @@ def _add_family_flags(parser: argparse.ArgumentParser, required: bool) -> None:
         required=required,
         help="instance family to build",
     )
-    parser.add_argument("--k", type=int, help="tree or chain depth")
+    parser.add_argument("--k", type=parse_int, help="tree or chain depth")
     parser.add_argument(
         "--closure",
         help="binomial closure: alias:ROW, clause:ROW or none (default alias:1)",
@@ -151,7 +159,7 @@ def _add_family_flags(parser: argparse.ArgumentParser, required: bool) -> None:
         metavar="LEVEL.ROW:COUNT[:SEED]",
         help="append COUNT redundancy clauses for a node, drawn by SEED (default 0; repeatable)",
     )
-    parser.add_argument("--k-sub", type=int, help="subtree depth for multi-branching (default 1)")
+    parser.add_argument("--k-sub", type=parse_int, help="subtree depth for multi-branching (default 1)")
     parser.add_argument(
         "--negate-root", action="store_true", default=None, help="enter the tree by the negated root"
     )
@@ -160,17 +168,17 @@ def _add_family_flags(parser: argparse.ArgumentParser, required: bool) -> None:
 def _add_budget_flags(parser: argparse.ArgumentParser, defaults: Budget) -> None:
     parser.add_argument(
         "--max-clauses",
-        type=int,
+        type=parse_int,
         default=defaults.max_clauses,
         help="stop after this many stored clauses (default %(default)s)",
     )
     parser.add_argument(
         "--max-steps",
-        type=int,
+        type=parse_int,
         default=defaults.max_steps,
         help="stop after this many resolution steps (default %(default)s)",
     )
-    parser.add_argument("--max-width", type=int, help="discard resolvents wider than this")
+    parser.add_argument("--max-width", type=parse_int, help="discard resolvents wider than this")
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
@@ -201,7 +209,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 def _parse_chain(text: str) -> Clause:
     try:
-        clause = make_clause([int(tok) for tok in text.split()])
+        clause = make_clause([parse_int(tok) for tok in text.split()])
     except ValueError as exc:
         raise ValueError(
             f'expected --chain as nonzero integer literals, e.g. "1 -4", got {text!r}'
@@ -251,9 +259,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     print(f"num_vars {formula.num_vars}")
     print(f"clauses {formula.num_clauses}")
     print("clauses by width", *(f"{width}={n}" for width, n in sorted(widths.items())))
-    # The root is variable 1; its two literals enter the tree and, in a
-    # composition, the second tree.
-    for entry in (1, -1):
+    # The root is variable 1, if there is one; its two literals enter the
+    # tree and, in a composition, the second tree.
+    for entry in (1, -1) if formula.num_vars else ():
         arrivals = count_paths(formula, entry)
         ends = (f"{_lit_label(formula, lit)}={arrivals[lit]}" for lit in sorted(arrivals, key=abs))
         print(f"paths from {_lit_label(formula, entry)}:", *ends, "total", sum(arrivals.values()))
@@ -319,9 +327,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="sweep families and report scaling")
     p.add_argument("--family", action="append", choices=FAMILIES, help="family to sweep (repeatable)")
-    p.add_argument("--k-min", type=int, default=2)
-    p.add_argument("--k-max", type=int, default=8)
-    p.add_argument("--repetitions", type=int, default=3)
+    p.add_argument("--k-min", type=parse_int, default=2)
+    p.add_argument("--k-max", type=parse_int, default=8)
+    p.add_argument("--repetitions", type=parse_int, default=3)
     _add_budget_flags(p, default_sweep_budget())
     p.add_argument("--csv", help="write per-run records to this path")
     p.set_defaults(func=cmd_bench)
@@ -334,15 +342,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except DimacsError as exc:
+    except (DimacsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

@@ -30,6 +30,7 @@ from .formula import (
     CnfFormula,
     build_formula,
     make_clause,
+    parse_int,
     parse_var_name,
     slot_name,
 )
@@ -61,10 +62,19 @@ class NamedLit(namedtuple("NamedLit", "name negated")):
         return cls(text[1:] if negated else text, negated)
 
 
-class RedundancySpec(NamedTuple):
-    node: tuple[int, int]
-    count: int
-    seed: int
+class RedundancySpec(namedtuple("RedundancySpec", "node count seed")):
+    """`count` entailed clauses for a tree node, drawn by `seed`.  A
+    negative seed is refused: `random.Random` seeds with its absolute
+    value, so it would draw the clauses of another recipe."""
+
+    __slots__ = ()
+
+    def __new__(cls, node: tuple[int, int], count: int, seed: int) -> RedundancySpec:
+        if count < 1:
+            raise ValueError("count must be at least 1")
+        if seed < 0:
+            raise ValueError(f"redundancy seed must be non-negative, got {seed}")
+        return tuple.__new__(cls, (node, count, seed))
 
 
 class TreeSpec(NamedTuple):
@@ -198,15 +208,18 @@ def parse_closure(text: str) -> Closure | None:
     if text == "none":
         return None
     kind, _, row = text.partition(":")
-    if kind in ("alias", "clause") and row.isdigit():
-        return Closure(kind, int(row))
+    try:
+        if kind in ("alias", "clause"):
+            return Closure(kind, parse_int(row))
+    except ValueError:
+        pass
     raise ValueError(f"bad closure {text!r}; expected alias:ROW, clause:ROW, or none")
 
 
 def _parse_node(text: str) -> tuple[int, int]:
     try:
         level, row = text.split(".")
-        return int(level), int(row)
+        return parse_int(level), parse_int(row)
     except ValueError as exc:
         raise ValueError(f"expected a node as LEVEL.ROW, got {text!r}") from exc
 
@@ -234,17 +247,13 @@ def parse_implicit(text: str) -> tuple[tuple[int, int], str]:
 
 
 def parse_redundancy(text: str) -> RedundancySpec:
-    """LEVEL.ROW:COUNT[:SEED]; the seed defaults to 0.  A negative seed is
-    refused: `random.Random` seeds with its absolute value, so it would
-    draw the clauses of another recipe."""
+    """LEVEL.ROW:COUNT[:SEED]; the seed defaults to 0."""
     node_text, _, numbers = text.partition(":")
     count_text, colon, seed_text = numbers.partition(":")
     try:
-        count, seed = int(count_text), int(seed_text) if colon else 0
+        count, seed = parse_int(count_text), parse_int(seed_text) if colon else 0
     except ValueError as exc:
         raise ValueError(f"expected redundancy as LEVEL.ROW:COUNT[:SEED], got {text!r}") from exc
-    if seed < 0:
-        raise ValueError(f"redundancy seed must be non-negative, got {seed}")
     return RedundancySpec(_parse_node(node_text), count, seed)
 
 
@@ -479,10 +488,6 @@ def _add_redundancy(em: _Emitter, k: int, root_lit: int, red: RedundancySpec) ->
     v in the cone unequal to cone[a].  A seeded permutation of the
     candidate indices picks `count` of them, skipping clauses already
     present."""
-    if red.count < 1:
-        raise ValueError("count must be at least 1")
-    if red.seed < 0:
-        raise ValueError(f"redundancy seed must be non-negative, got {red.seed}")
     level, row = red.node
     cone = [em.lit(s) for s in _cone_slots(red.node, k)]
     if level == k:

@@ -11,6 +11,9 @@ lines written before the header:
     c var <id> <name>
     p cnf <variables> <clauses>
     1 -2 3 0
+
+A variable name from outside has one spelling (`parse_var_name`), and a
+number one grammar: `-?[0-9]+` in ASCII digits (`parse_int`).
 """
 
 from __future__ import annotations
@@ -103,6 +106,17 @@ def parse_var_name(text: str) -> str:
     if m is None or m[1] is not None and (int(m[2]) - 1).bit_length() > int(m[1]):
         raise ValueError(f"unrecognized variable name {text!r}")
     return text
+
+
+_INT = re.compile(r"-?[0-9]+", re.ASCII)
+
+
+def parse_int(text: str) -> int:
+    """Return the integer `text` spells as `-?[0-9]+` in ASCII digits,
+    else raise ValueError."""
+    if _INT.fullmatch(text) is None:
+        raise ValueError(f"expected an integer, got {text!r}")
+    return int(text)
 
 
 def slot_name(boundary: int, row: int, tree: int = 0) -> str:
@@ -266,7 +280,7 @@ def parse_dimacs(text: str) -> CnfFormula:
             elif len(parts) >= 4 and parts[1] == "var":
                 try:
                     name = parse_var_name(parts[3])
-                    vid = int(parts[2])
+                    vid = parse_int(parts[2])
                 except ValueError as exc:
                     raise DimacsError(f"line {lineno}: {exc}") from None
                 if name in name_lines:
@@ -285,20 +299,21 @@ def parse_dimacs(text: str) -> CnfFormula:
             if num_vars >= 0:
                 raise DimacsError(f"line {lineno}: second header {line!r}")
             fields = line.split()
-            if len(fields) != 4 or fields[1] != "cnf":
-                raise DimacsError(f"line {lineno}: malformed header {line!r}")
             try:
-                num_vars, num_clauses = int(fields[2]), int(fields[3])
+                num_vars, num_clauses = map(parse_int, fields[2:])
             except ValueError:
-                raise DimacsError(f"line {lineno}: malformed header {line!r}") from None
-            if num_vars < 0 or num_clauses < 0:
+                num_vars = num_clauses = -1
+            if fields[1:2] != ["cnf"] or min(num_vars, num_clauses) < 0:
                 raise DimacsError(f"line {lineno}: malformed header {line!r}")
             continue
         if num_vars < 0:
             raise DimacsError(f"line {lineno}: clause before header")
+        # One check per line: on ASCII text without "_" or "+", int()
+        # reads exactly parse_int's grammar, -?[0-9]+.
+        read = int if line.isascii() and "_" not in line and "+" not in line else parse_int
         for token in line.split():
             try:
-                lit = int(token)
+                lit = read(token)
             except ValueError:
                 raise DimacsError(f"line {lineno}: bad literal {token!r}") from None
             if lit == 0:

@@ -1,10 +1,8 @@
 import pytest
 
-import treesat.bench as bench
 from treesat.bench import (
     BenchRecord,
     COLUMNS,
-    FAMILIES,
     default_sweep_budget,
     export_csv,
     fit_power_law,
@@ -43,31 +41,6 @@ def test_run_one_records_both_phases():
     assert record.dpll_verdict == "sat"
     assert record.dpll_nodes >= 1
     assert record.saturation_seconds >= 0 and record.dpll_seconds >= 0
-
-
-def test_run_one_records_generator_failures(monkeypatch):
-    def broken(k):
-        raise RuntimeError("boom")
-
-    monkeypatch.setitem(FAMILIES, "unit-chain", broken)
-    record = run_one("unit-chain", 3, 0, default_sweep_budget())
-    assert record.saturation_status == "error:RuntimeError"
-    assert record.dpll_verdict == "error:RuntimeError"
-    assert record.variables == 0 and record.clauses == 0
-
-
-def test_run_one_isolates_phase_failures(monkeypatch):
-    monkeypatch.setattr(bench, "saturate", lambda f, b: (_ for _ in ()).throw(OSError))
-    record = run_one("unit-chain", 3, 0, default_sweep_budget())
-    assert record.saturation_status == "error:OSError"
-    assert record.dpll_verdict == "sat"
-
-
-def test_run_one_records_a_dpll_failure(monkeypatch):
-    monkeypatch.setattr(bench, "dpll_sat", lambda f: (_ for _ in ()).throw(RecursionError))
-    record = run_one("unit-chain", 3, 0, default_sweep_budget())
-    assert record.saturation_status == "saturated"
-    assert (record.dpll_verdict, record.dpll_nodes) == ("error:RecursionError", 0)
 
 
 def test_run_sweep_shape_and_order():

@@ -105,10 +105,56 @@ def test_generate_rejects_a_negative_redundancy_seed(capsys):
     # The closure clause (~s4.2 | x1.1) with the root written into s4.2.
     (["--closure", "clause:2", "--sub", "s4.2=x1.1"],
      "a substitution or implicit node makes a generated clause tautologous: ~x1.1 x1.1"),
+    # Numbers are spelled -?[0-9]+ in ASCII digits, and nothing else.
+    (["--closure", "alias:\u0663"],
+     "bad closure 'alias:\u0663'; expected alias:ROW, clause:ROW, or none"),
+    (["--closure", "alias:\u00b2"],
+     "bad closure 'alias:\u00b2'; expected alias:ROW, clause:ROW, or none"),
+    (["--implicit", "1.\u0661=s4.3"], "expected a node as LEVEL.ROW, got '1.\u0661'"),
+    (["--redundancy", "1.1:+2:0_1"],
+     "expected redundancy as LEVEL.ROW:COUNT[:SEED], got '1.1:+2:0_1'"),
 ])
 def test_generate_rejects_a_bad_recipe_item(capsys, flags, message):
     code, out, err = run_cli(capsys, "generate", "--family", "binomial", "--k", "3", *flags)
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def run_argv(capsys, argv):
+    """Like run_cli, but also for argv that argparse refuses by exiting."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+# Each numeric flag, given its value last in a command that runs without it.
+NUMERIC_FLAG_COMMANDS = {
+    "--k": ["generate", "--family", "unit-chain"],
+    "--k-sub": ["generate", "--family", "multi-branching", "--k", "2"],
+    "--max-clauses": ["saturate", "--family", "unit-chain", "--k", "3"],
+    "--max-steps": ["saturate", "--family", "unit-chain", "--k", "3"],
+    "--max-width": ["saturate", "--family", "unit-chain", "--k", "3"],
+    "--k-min": ["bench", "--family", "unit-chain", "--k-max", "3", "--repetitions", "1"],
+    "--k-max": ["bench", "--family", "unit-chain", "--k-min", "2", "--repetitions", "1"],
+    "--repetitions": ["bench", "--family", "unit-chain", "--k-min", "2", "--k-max", "2"],
+    "--chain": ["saturate", "--family", "unit-chain", "--k", "3"],
+}
+
+
+@pytest.mark.parametrize("text", ["\u0663", "1_0", "+1"])
+@pytest.mark.parametrize("flag", NUMERIC_FLAG_COMMANDS)
+def test_numeric_flags_read_ascii_digits_only(capsys, flag, text):
+    code, out, err = run_argv(capsys, NUMERIC_FLAG_COMMANDS[flag] + [flag, text])
+    assert (code, out) == (2, "")
+    assert flag in err and err.endswith(f"{text!r}\n"), err
+
+
+def test_a_leading_zero_is_read_and_recorded_as_the_value(capsys):
+    code, out, err = run_cli(capsys, "generate", "--family", "unit-chain", "--k", "03")
+    assert (code, out, err) == (0, write_dimacs(build_unit_chain(3)), "")
+    assert "c meta k 3\n" in out
 
 
 def test_generate_requires_depth(capsys):
@@ -330,6 +376,13 @@ def test_analyze_paths_matches_spec_row(capsys):
     assert "paths from x1.1: s4.1=1 s4.2=3 s4.3=3 s4.4=1 total 8\n" in out
 
 
+def test_analyze_prints_no_paths_without_variables(capsys, tmp_path):
+    path = tmp_path / "empty.cnf"
+    path.write_text("p cnf 0 0\n")
+    code, out, err = run_cli(capsys, "analyze", "--in", str(path))
+    assert (code, out, err) == (0, "num_vars 0\nclauses 0\nclauses by width\n", "")
+
+
 def test_analyze_reads_the_same_lines_off_the_generated_file(capsys, tmp_path):
     path = tmp_path / "tree3.cnf"
     run_cli(capsys, "generate", "--family", "binomial", "--k", "3", "--out", str(path))
@@ -369,6 +422,11 @@ def test_bench_writes_csv(capsys, tmp_path):
     leftovers = [p for p in os.listdir(tmp_path) if p.startswith(".treesat-")]
     assert leftovers == []
     assert file_mode(csv_path) == 0o644
+
+
+def test_bench_below_a_familys_least_depth_is_a_usage_error(capsys):
+    code, out, err = run_cli(capsys, "bench", "--family", "unit-chain", "--k-min", "1")
+    assert (code, out, err) == (2, "", "error: unit chain needs at least two variables\n")
 
 
 def test_a_failed_write_names_the_given_path(capsys, tmp_path):
@@ -486,7 +544,7 @@ FUZZ_SEEDS = [
     "p cnf 0 0\n",
 ]
 FUZZ_TOKENS = ["0", "-1", "1", "2", "-3", "7", "x", "", "c", "p", "cnf", "var", "meta",
-               "z0", "s3.1", "x1.1", "-0", "1.5"]
+               "z0", "s3.1", "x1.1", "-0", "1.5", "-\u0663", "1_0", "+2"]
 FUZZ_LINES = ["c var 1 z0", "c var 9 s2.1", "c var 2 x1.1", "p cnf 3 2", "0", "c meta k 3",
               "1 -1 0", "c", "p cnf 0 0", "2 3"]
 
@@ -520,12 +578,14 @@ def fuzz_family_flags(rng):
     family = rng.choice(list(FAMILIES) + ["bogus"])
     argv = ["--family", family, "--k", str(rng.randint(-1, 4))]
     choices = {
-        "--closure": ["alias:1", "alias:3", "clause:2", "none", "alias", "pivot:1", "clause:0"],
+        "--closure": ["alias:1", "alias:3", "clause:2", "none", "alias", "pivot:1", "clause:0",
+                      "alias:\u0663", "clause:+2"],
         "--sub": ["s3.2=z0", "s3.3=~z0", "s4.2=z0", "x1.1=z0", "s3.1", "s2.2=~x1.1", "s3.2=q"],
-        "--implicit": ["2.1=s4.2", "1.1=s3.3", "2.1=s3.1", "1.1=x1.1", "x=s3.1", "2.1", "1.1=s2.2"],
+        "--implicit": ["2.1=s4.2", "1.1=s3.3", "2.1=s3.1", "1.1=x1.1", "x=s3.1", "2.1", "1.1=s2.2",
+                       "1.\u0661=s3.2"],
         "--redundancy": ["1.1:3", "2.1:2", "1.1:0", "1.1:x", "3.1:1", "1.1:1000", "1.1",
-                         "1.1:3:7", "2.1:2:-2", "1.1:2:", "1.1:2:x"],
-        "--k-sub": ["-1", "0", "1", "2"],
+                         "1.1:3:7", "2.1:2:-2", "1.1:2:", "1.1:2:x", "1.1:1_0", "1.1:+2"],
+        "--k-sub": ["-1", "0", "1", "2", "\u0662", "+1"],
     }
     # Flags go to the family that reads them, except in one draw in ten,
     # which keeps the check that rejects another family's flag fuzzed.
@@ -590,9 +650,5 @@ def test_cli_fuzz_exits_with_a_documented_code(capsys, tmp_path):
     rng = random.Random(20261018)
     for n in range(300):
         argv = fuzz_argv(rng, tmp_path, n)
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
-        capsys.readouterr()
+        code, _, _ = run_argv(capsys, argv)
         assert code in {0, 1, 2, 10, 20}, argv

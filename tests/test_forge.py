@@ -337,6 +337,11 @@ def test_redundancy_refuses_a_negative_seed():
         parse_redundancy("1.1:3:-5")
     with pytest.raises(ValueError, match=message):
         redundancy_clauses(4, (1, 1), 3, seed=-5)
+    # The spec checks its count and seed once, where it is built.
+    with pytest.raises(ValueError, match=message):
+        RedundancySpec((1, 1), 3, -5)
+    with pytest.raises(ValueError, match="^count must be at least 1$"):
+        RedundancySpec((1, 1), 0, 5)
     assert parse_redundancy("1.1:3:5") == RedundancySpec((1, 1), 3, 5)
     assert parse_redundancy("1.1:3:0") == parse_redundancy("1.1:3")
 
@@ -345,8 +350,6 @@ def reference_add_redundancy(em, k, root_lit, red):
     """The redundancy draw written out in full: build every candidate
     pair, shuffle the list with `random.Random(seed)`, take the first
     `count` new width-3 clauses."""
-    if red.count < 1:
-        raise ValueError("count must be at least 1")
     level, row = red.node
     cone = [em.lit(s) for s in forge._cone_slots(red.node, k)]
     if level == k:
@@ -436,7 +439,7 @@ def test_parse_closure_round_trip():
     assert parse_closure("alias:2") == Closure("alias", 2)
     assert parse_closure("clause:1") == Closure("clause", 1)
     assert parse_closure("none") is None
-    for bad in ("alias", "alias:x", "clause:", "pivot:1"):
+    for bad in ("alias", "alias:x", "clause:", "pivot:1", "alias:\u0663", "alias:\u00b2", "alias:+1"):
         with pytest.raises(ValueError):
             parse_closure(bad)
 

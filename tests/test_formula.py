@@ -11,6 +11,7 @@ from treesat.formula import (
     build_formula,
     make_clause,
     parse_dimacs,
+    parse_int,
     parse_var_name,
     slot_name,
     write_dimacs,
@@ -63,6 +64,16 @@ def test_var_name_validation():
     for text in "q7 x1.2 x0.1 s1.1 s3.0 s03.1 t0.s3.1 b0.1 b2.5 z01 s\u0663.1".split():
         with pytest.raises(ValueError, match="unrecognized variable name"):
             parse_var_name(text)
+
+
+def test_parse_int_reads_ascii_digits_only():
+    for text, value in (("0", 0), ("-0", 0), ("7", 7), ("-12", -12), ("03", 3)):
+        assert parse_int(text) == value
+    # int() reads the first six as numbers too.
+    for text in ("\u0663", "-\u0663", "1_0", "+1", " 1", "1\n", "", "-", "\u00b2"):
+        with pytest.raises(ValueError) as err:
+            parse_int(text)
+        assert str(err.value) == f"expected an integer, got {text!r}"
 
 
 def test_parse_dimacs_checks_a_deep_binary_name_by_bit_length():
@@ -196,6 +207,13 @@ def test_parse_dimacs_duplicate_clauses_counted_against_header():
         ("p cnf 5 2\n5 0\np cnf 1 2\n1 0\n", "line 3: second header"),
         ("p cnf x 1\n1 0\n", "line 1: malformed header 'p cnf x 1'"),
         ("c var 1 x1.1\nc var 2 z0\np cnf 1 1\n1 0\n", "atlas id 2 above declared count 1"),
+        # Numbers are spelled -?[0-9]+ in ASCII digits, and nothing else.
+        ("p cnf \u0662 1\n1 0\n", "line 1: malformed header 'p cnf \u0662 1'"),
+        ("c var \u0661 x1.1\np cnf 1 1\n1 0\n", "line 1: expected an integer, got '\u0661'"),
+        ("c var x z0\np cnf 1 1\n1 0\n", "line 1: expected an integer, got 'x'"),
+        ("p cnf 10 1\n1_0 0\n", "line 2: bad literal '1_0'"),
+        ("p cnf 3 1\n1 -\u0663 0\n", "line 2: bad literal '-\u0663'"),
+        ("p cnf 1 1\n+1 0\n", "line 2: bad literal '+1'"),
     ],
 )
 def test_parse_dimacs_rejects_malformed_input(text, fragment):

@@ -44,3 +44,19 @@ def test_only_the_cli_writes_files():
                 assert "tempfile" not in (a.name for a in node.names), path.name
             elif isinstance(node, ast.ImportFrom):
                 assert node.module != "tempfile", path.name
+
+
+def test_numbers_are_read_only_through_parse_int():
+    # `formula.parse_int` is the one reader of numbers from outside: no
+    # str digit test, and no argparse `type=int`.
+    for path in sorted((SRC / "treesat").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute):
+                assert node.attr not in {"isdigit", "isdecimal", "isnumeric"}, (
+                    f"{path.name}:{node.lineno} calls {node.attr}"
+                )
+            elif isinstance(node, ast.keyword) and node.arg == "type":
+                value = node.value
+                assert not (isinstance(value, ast.Name) and value.id == "int"), (
+                    f"{path.name}:{node.lineno} passes type=int"
+                )
