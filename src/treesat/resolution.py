@@ -2,30 +2,34 @@
 
 Saturation is a given-clause loop with width-first selection.  The next
 given clause is the narrowest unprocessed clause, the lowest id breaking
-ties.  If a proper subset of it is stored by then, it is skipped and
-counted as `retired`: it is never resolved and never becomes a partner.
-Otherwise it is resolved against every already-processed clause in
+ties.  If a proper subset of it is stored by then, it is skipped: it is
+never resolved and never becomes a partner.  Otherwise every processed
+clause that it properly subsumes is withdrawn from the partners, and the
+given clause is resolved against every processed clause still there in
 ascending id order, on every variable the two share with opposite signs
-in ascending order, and then joins the processed set.  So each unordered
-pair is tried at most once, when the later-processed clause is given,
-and runs are deterministic.  Clause ids are assigned in discovery order
-(original clauses first), and every trace step names the older parent as
-`left`.  Resolvents that are tautologies, too wide, already present, or
-subsumed (a proper subset of their literals is stored: forward
-subsumption, as in McCune's OTTER 3.0 Reference Manual, 1994) are
-counted and dropped; the others join the store, the trace and the
-unprocessed set.  Skipping a subsumed given is the lazy form of backward
-subsumption (the same manual): the store stays append-only, so ids and
-traces keep their meaning, and deleting subsumed clauses keeps resolution
+in ascending order, and then joins the processed set.  Skipped and
+withdrawn clauses are both counted as `retired`.  So each unordered pair
+is tried at most once, when the later-processed clause is given, and runs
+are deterministic.  Clause ids are assigned in discovery order (original
+clauses first), and every trace step names the older parent as `left`.
+Resolvents that are tautologies, too wide, already present, or subsumed
+(a proper subset of their literals is stored: forward subsumption, as in
+McCune's OTTER 3.0 Reference Manual, 1994) are counted and dropped; the
+others join the store, the trace and the unprocessed set.  Skipping a
+subsumed given and withdrawing the processed clauses a given subsumes are
+backward subsumption (the same manual), done when the given clause is
+activated.  The store stays append-only, so ids and traces keep their
+meaning, and deleting subsumed clauses keeps resolution
 refutation-complete (Bachmair & Ganzinger, "Resolution Theorem Proving",
-Handbook of Automated Reasoning, 2001).  The first recorded derivation of
-a clause is the one its decision chain reports.  A run ends at the first
-stored clause that subsumes its goal (`Budget`).  A run that dropped an
-over-width resolvent and then ran out of clauses ends budget-exhausted,
-so a saturated store holds a subset of every clause the formula entails,
-and a unit missing from it is not entailed: the open depth-3 binomial tree
-saturates after 197 steps without its root unit, where it used to run
-out of the sweep budget.
+Handbook of Automated Reasoning, 2001): a withdrawn clause P contains the
+given clause G, so each resolvent of P and a clause Q is subsumed by G or
+by the resolvent of G and Q, and G stays a partner.  The first recorded
+derivation of a clause is the one its decision chain reports.  A run ends
+at the first stored clause that subsumes its goal (`Budget`).  A run that
+dropped an over-width resolvent and then ran out of clauses ends
+budget-exhausted, so a saturated store holds a subset of every clause the
+formula entails, and a unit missing from it is not entailed: the open
+depth-3 binomial tree saturates after 76 steps without its root unit.
 
 The loop encodes each stored clause once as one int mask: with
 n = num_vars + 1, bit v stands for +v and bit n+v for -v.  A pair's clash
@@ -202,9 +206,11 @@ def saturate(formula: CnfFormula, budget: Budget | None = None) -> SaturationRes
     """Resolve to fixpoint, to a stored clause that subsumes the goal
     (`Budget`) or to budget exhaustion, taking the narrowest unprocessed
     clause (lowest id on ties) as the next given clause and resolving it
-    against every processed clause.  A resolvent that a stored clause
-    subsumes is dropped and counted as `subsumed`; a given clause that a
-    stored clause subsumes is skipped and counted as `retired`."""
+    against every processed clause that no later given clause has
+    subsumed.  A resolvent that a stored clause subsumes is dropped and
+    counted as `subsumed`.  A given clause that a stored clause subsumes
+    is skipped, and a processed clause that a given clause subsumes is
+    withdrawn from the partners; both are counted as `retired`."""
     budget = budget or Budget()
     max_width = budget.max_width if budget.max_width is not None else formula.num_vars
     max_steps = budget.max_steps
@@ -223,9 +229,10 @@ def saturate(formula: CnfFormula, budget: Budget | None = None) -> SaturationRes
     ids: dict[int, int] = {mask: i for i, mask in enumerate(masks)}
     unprocessed = [(len(lits), i) for i, lits in enumerate(store)]
     heapq.heapify(unprocessed)
-    # Occurrences of processed clauses only: a given clause meets each
-    # partner once, so every unordered pair is tried exactly once.
-    occ: dict[int, list[int]] = {}
+    # Occurrences of processed clauses that are not withdrawn: a given
+    # clause meets each partner once, so every unordered pair is tried at
+    # most once.
+    occ: dict[int, set[int]] = {}
     trace: list[ResolutionStep] = []
     n_original = len(store)
 
@@ -246,10 +253,17 @@ def saturate(formula: CnfFormula, budget: Budget | None = None) -> SaturationRes
         if _subsumed(mask_g, len(lits_g), ids, masks):
             retired += 1
             continue
+        # The processed clauses that the given one subsumes leave the
+        # partners: the given clause covers every resolvent they yield.
+        first, *rest = (occ.get(lit, set()) for lit in lits_g)
+        for j in first.intersection(*rest):
+            for lit in store[j]:
+                occ[lit].discard(j)
+            retired += 1
         # The given clause with every literal negated: its overlap with a
         # partner is the partner's clashing literals.
         swapped = mask_g >> n | (mask_g & low_half) << n
-        partners = sorted({j for lit in lits_g for j in occ.get(-lit, ())})
+        partners = sorted(set().union(*(occ.get(-lit, ()) for lit in lits_g)))
         for j in partners:
             if steps >= max_steps:
                 status, stopped_by = SaturationStatus.BUDGET_EXHAUSTED, "max_steps"
@@ -297,7 +311,7 @@ def saturate(formula: CnfFormula, budget: Budget | None = None) -> SaturationRes
                 status, stopped_by = SaturationStatus.BUDGET_EXHAUSTED, "max_clauses"
                 break
         for lit in lits_g:
-            occ.setdefault(lit, []).append(given)
+            occ.setdefault(lit, set()).add(given)
     if status is SaturationStatus.SATURATED and over_width:
         # A dropped resolvent might have led to the goal.
         status, stopped_by = SaturationStatus.BUDGET_EXHAUSTED, "max_width"

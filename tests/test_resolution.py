@@ -95,7 +95,9 @@ def test_saturate_unit_chain_reaches_fixpoint():
     assert result.derived == (Clause((1, 3)), Clause((1, -2)), Clause((1,)))
     assert result.counters.added == 3
     assert result.counters.duplicates == 0
-    assert result.counters.retired == 1
+    # (1 -2) is given after (1) is stored and is skipped; (1) then
+    # withdraws the processed (1 2), (1 -3) and (1 3).
+    assert result.counters.retired == 4
 
 
 def test_saturation_counters_partition_the_steps():
@@ -118,39 +120,48 @@ def test_saturate_is_deterministic():
 
 
 # Status, counters, store size and a digest of the exported trace, pinned
-# from runs with forward subsumption and with subsumed given clauses
-# skipped; a faster kernel must reproduce them
-# exactly, step-budget trips, over-width and subsumed drops included.
+# from runs with forward subsumption, with subsumed given clauses skipped
+# and with the processed clauses a given clause subsumes withdrawn; a
+# faster kernel must reproduce them exactly, step-budget trips,
+# over-width, subsumed drops and retired clauses included.  The width-3
+# cap on crossed-4 no longer drops anything: no resolvent of that run is
+# wider than 3.
 GOLDEN_RUNS = [
     (
         "matched-2",
         lambda: compose_two_trees(2, Closing.MATCHED),
         None,
-        ("empty-derived", 181, 97, 14, 34, 0, 36, 115, "b2e5f8876dc1a470"),
+        ("empty-derived", 26, 26, 0, 0, 0, 0, 27, 44, "2b3cd3beaa388ccd"),
     ),
     (
         "matched-3",
         lambda: compose_two_trees(3, Closing.MATCHED),
         None,
-        ("empty-derived", 391, 203, 18, 43, 0, 127, 239, "069584f073421984"),
+        ("empty-derived", 79, 68, 0, 3, 0, 8, 52, 104, "6909f23b9be38c71"),
     ),
     (
         "matched-4",
         lambda: compose_two_trees(4, Closing.MATCHED),
         None,
-        ("empty-derived", 768, 350, 28, 87, 0, 303, 410, "fc8d50b7d5cbc7df"),
+        ("empty-derived", 211, 151, 0, 29, 0, 31, 86, 211, "52815f8951f9d667"),
     ),
     (
         "closed-tree-3",
         lambda: build_binomial_tree(TreeSpec(k=3)),
         Budget(20_000, 200_000),
-        ("saturated", 199, 63, 14, 26, 0, 96, 81, "bf481a69ae2f3413"),
+        ("saturated", 53, 42, 0, 3, 0, 8, 45, 60, "ff25d86a9f2cc2ef"),
     ),
     (
         "crossed-4-width-3",
         lambda: compose_two_trees(4, Closing.CROSSED),
         Budget(max_width=3, max_steps=5000),
-        ("budget-exhausted", 5000, 719, 130, 2300, 224, 1627, 779, "1fed77e85ed53ae9"),
+        ("saturated", 3552, 808, 50, 2358, 0, 336, 536, 868, "6fc929352c43d31b"),
+    ),
+    (
+        "crossed-5-width-2",
+        lambda: compose_two_trees(5, Closing.CROSSED),
+        Budget(max_width=2, max_steps=5000),
+        ("budget-exhausted", 5000, 472, 28, 3264, 1236, 0, 75, 562, "b46b2be7d431ac27"),
     ),
 ]
 
@@ -164,22 +175,24 @@ def test_saturate_matches_golden_runs(build, budget, expected):
     digest = hashlib.sha256(export_trace(result).encode()).hexdigest()[:16]
     observed = (
         str(result.status), c.steps, c.added, c.tautologies, c.duplicates, c.over_width,
-        c.subsumed, len(result.store), digest,
+        c.subsumed, c.retired, len(result.store), digest,
     )
     assert observed == expected
 
 
 def test_forward_subsumption_drops_a_resolvent_and_a_goal_run_stops_at_its_subsumer():
-    # (1 4) is given before (1) is stored, so it stays a partner; (2 -4)
-    # is given after, and their resolvent (1 2) is dropped.
+    # (1 2) is derived before (2 3 -5) is given.  It subsumes neither
+    # (1 5) nor (2 3 -5), so both stay partners, and their resolvent
+    # (1 2 3) is dropped.
     formula = build_formula(
-        [Clause((1, 4)), Clause((1, -3)), Clause((3,)), Clause((2, -4))]
+        [Clause((1, 6)), Clause((2, -6)), Clause((1, 5)), Clause((2, 3, -5))]
     )
     plain = saturate(formula)
     assert plain.status is SaturationStatus.SATURATED
-    assert plain.derived == (Clause((1,)),)
-    assert plain.counters.subsumed == 1  # (1 2), subsumed by (1)
-    goal = saturate(formula, Budget(goal=Clause((1, 2))))
+    assert plain.derived == (Clause((1, 2)),)
+    assert plain.counters.subsumed == 1  # (1 2 3), subsumed by (1 2)
+    assert plain.counters.retired == 0
+    goal = saturate(formula, Budget(goal=Clause((1, 2, 3))))
     assert goal.status is SaturationStatus.GOAL_DERIVED
     assert goal.store == plain.store
     assert goal.counters.subsumed == 0
@@ -187,18 +200,19 @@ def test_forward_subsumption_drops_a_resolvent_and_a_goal_run_stops_at_its_subsu
 
 
 def test_a_wide_goal_run_ends_at_a_stored_subset_of_the_goal():
-    # (1) is stored first, so (1 2 -5) and the goal (1 2) itself are
-    # dropped when they are derived; (1) subsumes the goal and ends the run.
+    # (1 2) is stored first, so (1 2 3 -7) and the goal (1 2 3) itself are
+    # dropped when they are derived; (1 2) subsumes the goal and ends the
+    # run.
     formula = build_formula(
-        [Clause((1, 4)), Clause((1, -3)), Clause((3,)), Clause((2, -4, -5)), Clause((5,))]
+        [Clause((1, 6)), Clause((2, -6)), Clause((1, 5)), Clause((2, 3, -5, -7)), Clause((7,))]
     )
     plain = saturate(formula)
-    assert plain.derived == (Clause((1,)), Clause((2, -4)))
+    assert plain.derived == (Clause((1, 2)), Clause((2, 3, -5)))
     assert plain.counters.subsumed == 2
-    assert Clause((1, 2)) not in plain.store
-    goal = saturate(formula, Budget(goal=Clause((1, 2))))
+    assert Clause((1, 2, 3)) not in plain.store
+    goal = saturate(formula, Budget(goal=Clause((1, 2, 3))))
     assert goal.status is SaturationStatus.GOAL_DERIVED
-    assert goal.store[-1] == Clause((1,))
+    assert goal.store[-1] == Clause((1, 2))
     assert goal.trace == plain.trace[: len(goal.trace)]
     assert goal.counters.subsumed == 0
 
@@ -243,13 +257,30 @@ def test_a_wide_given_clause_subsumed_through_the_scan_is_skipped():
 
 def test_a_given_clause_does_not_subsume_itself():
     # Each given is stored, so a scan that matched the clause itself would
-    # skip every clause.
+    # skip every clause.  No clause here is a subset of another, so none
+    # is retired.
     alone = saturate(build_formula([Clause((1, 2))]))
     assert alone.status is SaturationStatus.SATURATED
     assert alone.counters.retired == 0
-    pair = saturate(build_formula([Clause((1, 2)), Clause((-1, 2))]))
-    assert pair.derived == (Clause((2,)),)
+    pair = saturate(build_formula([Clause((1, 2)), Clause((-1, 3))]))
+    assert pair.derived == (Clause((2, 3)),)
     assert pair.counters.retired == 0
+
+
+def test_a_processed_clause_that_the_given_clause_subsumes_is_withdrawn():
+    # (1 2) is derived from its two supersets and withdraws both when it
+    # is given, so the later (-1 3 4) meets only (1 2): one step, where
+    # resolving it against all three would store (2 3 4 5) and (2 3 4 -5)
+    # before (2 3 4).
+    formula = build_formula([Clause((1, 2, 5)), Clause((1, 2, -5)), Clause((-1, 3, 4))])
+    result = saturate(formula)
+    assert result.status is SaturationStatus.SATURATED
+    assert result.derived == (Clause((1, 2)), Clause((2, 3, 4)))
+    assert result.trace == (ResolutionStep(0, 1, 5, 3), ResolutionStep(2, 3, 1, 4))
+    later = result.trace[1:]
+    assert not any({0, 1} & {step.left, step.right} for step in later)
+    assert (result.counters.steps, result.counters.retired) == (2, 2)
+    assert tuple(replay_trace(formula, result.trace)) == result.store
 
 
 def test_saturation_agrees_with_dpll_on_random_formulas():
@@ -468,7 +499,7 @@ def test_goal_never_derived_leaves_the_run_unchanged():
     unit = Clause((formula.atlas.id_of(ROOT),))
     full = saturate(formula, budget)
     assert full.status is SaturationStatus.SATURATED
-    assert full.counters.steps == 197
+    assert full.counters.steps == 76
     assert saturate(formula, budget._replace(goal=unit)) == full
 
 
