@@ -13,7 +13,9 @@ lines written before the header:
     1 -2 3 0
 
 A variable name from outside has one spelling (`parse_var_name`), and a
-number one grammar: `-?[0-9]+` in ASCII digits (`parse_int`).
+number one grammar: `-?[0-9]+` in ASCII digits (`parse_int`).  A DIMACS
+line ends at `\n` (or `\r\n`), and the fields of a line are separated by
+ASCII spaces and tabs only.
 """
 
 from __future__ import annotations
@@ -109,6 +111,7 @@ def parse_var_name(text: str) -> str:
 
 
 _INT = re.compile(r"-?[0-9]+", re.ASCII)
+_SEPARATORS = re.compile("[ \t]+")
 
 
 def parse_int(text: str) -> int:
@@ -256,7 +259,8 @@ def parse_dimacs(text: str) -> CnfFormula:
 
     Duplicate clauses are dropped; tautologous input clauses are rejected
     with a line number, as are header mismatches, out-of-range variables,
-    and unterminated clauses.
+    and unterminated clauses.  Any other separator is part of a field, so
+    a literal holding one is a bad literal.
     """
     metadata: dict[str, str] = {}
     atlas = Atlas()
@@ -269,12 +273,14 @@ def parse_dimacs(text: str) -> CnfFormula:
     pending_line = last = 0
     rising = True
 
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        line = line.strip(" \t\r")
         if not line:
             continue
+        # On printable ASCII, str.split() splits at spaces only.
+        plain = line.isascii() and line.isprintable()
         if line.startswith("c"):
-            parts = line.split(maxsplit=3)
+            parts = line.split(maxsplit=3) if plain else _SEPARATORS.split(line, 3)
             if len(parts) >= 4 and parts[1] == "meta":
                 metadata[parts[2]] = parts[3]
             elif len(parts) >= 4 and parts[1] == "var":
@@ -298,7 +304,7 @@ def parse_dimacs(text: str) -> CnfFormula:
         if line.startswith("p"):
             if num_vars >= 0:
                 raise DimacsError(f"line {lineno}: second header {line!r}")
-            fields = line.split()
+            fields = line.split() if plain else _SEPARATORS.split(line)
             try:
                 num_vars, num_clauses = map(parse_int, fields[2:])
             except ValueError:
@@ -308,10 +314,13 @@ def parse_dimacs(text: str) -> CnfFormula:
             continue
         if num_vars < 0:
             raise DimacsError(f"line {lineno}: clause before header")
-        # One check per line: on ASCII text without "_" or "+", int()
+        # One check per line: on printable ASCII without "_" or "+", int()
         # reads exactly parse_int's grammar, -?[0-9]+.
-        read = int if line.isascii() and "_" not in line and "+" not in line else parse_int
-        for token in line.split():
+        if plain and "_" not in line and "+" not in line:
+            read, tokens = int, line.split()
+        else:
+            read, tokens = parse_int, _SEPARATORS.split(line)
+        for token in tokens:
             try:
                 lit = read(token)
             except ValueError:

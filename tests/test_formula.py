@@ -182,6 +182,14 @@ def test_parse_dimacs_multiline_and_multi_clause_lines():
     assert f.clauses == (Clause((1, 2)), Clause((-1,)))
 
 
+def test_parse_dimacs_separates_fields_at_spaces_and_tabs_only():
+    # A comment may hold any text, "\r\n" ends a line, and tabs separate.
+    text = "c note\u2028more\x85text\r\nc meta key a\u00a0b\r\np cnf 2 2\r\n1\t-2 0\r\n 2  0\t\r\n"
+    f = parse_dimacs(text)
+    assert f.clauses == (Clause((1, -2)), Clause((2,)))
+    assert f.metadata == {"key": "a\u00a0b"}
+
+
 def test_parse_dimacs_duplicate_clauses_counted_against_header():
     f = parse_dimacs("p cnf 1 2\n1 0\n1 0\n")
     assert f.clauses == (Clause((1,)),)
@@ -214,6 +222,16 @@ def test_parse_dimacs_duplicate_clauses_counted_against_header():
         ("p cnf 10 1\n1_0 0\n", "line 2: bad literal '1_0'"),
         ("p cnf 3 1\n1 -\u0663 0\n", "line 2: bad literal '-\u0663'"),
         ("p cnf 1 1\n+1 0\n", "line 2: bad literal '+1'"),
+        # Lines break at "\n" only, and fields are split at spaces and tabs.
+        ("p cnf 2 1\x1c1 -2 0\n", "line 1: malformed header"),
+        ("p cnf 2 1\n1 -2\u00a00\n", "line 2: bad literal '-2\\xa00'"),
+        ("p cnf 2 1\n1\u2003-2 0\n", "line 2: bad literal '1\\u2003-2'"),
+        ("p cnf 2 1\n1 -2\x850\n", "line 2: bad literal '-2\\x850'"),
+        ("p cnf 2 1\n1 -2\u20280\n", "line 2: bad literal '-2\\u20280'"),
+        ("p cnf 2 1\n1 -2\x1e0\n", "line 2: bad literal '-2\\x1e0'"),
+        ("p cnf 2 1\n1 -2\x0b0\n", "line 2: bad literal '-2\\x0b0'"),
+        ("p cnf 2 1\n1\r-2 0\n", "line 2: bad literal '1\\r-2'"),
+        ("p\u00a0cnf 2 1\n1 -2 0\n", "line 1: malformed header"),
     ],
 )
 def test_parse_dimacs_rejects_malformed_input(text, fragment):
