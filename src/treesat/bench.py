@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import re
 import time
 from typing import Iterable, NamedTuple, Sequence
 
@@ -43,6 +44,8 @@ class BenchRecord(NamedTuple):
 COLUMNS: tuple[str, ...] = BenchRecord._fields
 _FLOAT_COLUMNS = frozenset(("saturation_seconds", "dpll_seconds"))
 _STR_COLUMNS = frozenset(("family", "saturation_status", "dpll_verdict"))
+# str(float) of a finite float, in ASCII: digits, a fraction, an exponent.
+_DECIMAL = re.compile(r"-?[0-9]+(\.[0-9]+)?(e[-+]?[0-9]+)?", re.ASCII)
 
 
 def default_sweep_budget() -> Budget:
@@ -106,8 +109,16 @@ def export_csv(records: Sequence[BenchRecord]) -> str:
     return out.getvalue()
 
 
+def _parse_decimal(text: str) -> float:
+    if _DECIMAL.fullmatch(text) is None:
+        raise ValueError(f"expected a decimal number, got {text!r}")
+    return float(text)
+
+
 def parse_csv(text: str) -> list[BenchRecord]:
-    """Inverse of export_csv."""
+    """Inverse of export_csv.  Integer columns are read by `parse_int`,
+    the seconds columns as ASCII decimals (`-?[0-9]+(.[0-9]+)?` with an
+    optional exponent); a bad value raises ValueError naming its column."""
     reader = csv.DictReader(io.StringIO(text, newline=""))
     if reader.fieldnames != list(COLUMNS):
         raise ValueError(f"unexpected header {reader.fieldnames}")
@@ -118,10 +129,12 @@ def parse_csv(text: str) -> list[BenchRecord]:
             raw = row[name]
             if name in _STR_COLUMNS:
                 values[name] = raw
-            elif name in _FLOAT_COLUMNS:
-                values[name] = float(raw)
-            else:
-                values[name] = parse_int(raw)
+                continue
+            read = _parse_decimal if name in _FLOAT_COLUMNS else parse_int
+            try:
+                values[name] = read(raw)
+            except ValueError as exc:
+                raise ValueError(f"column {name}: {exc}") from None
         records.append(BenchRecord(**values))
     return records
 

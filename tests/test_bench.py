@@ -74,6 +74,34 @@ def test_csv_round_trip():
     assert parse_csv(text) == records
 
 
+@pytest.mark.parametrize("column", ["saturation_seconds", "dpll_seconds"])
+@pytest.mark.parametrize("text", ["1_0.5", "\u0663", "nan", "inf", "-inf", "1.", ".5", " 1.5", "0x1p-3"])
+def test_csv_seconds_are_ascii_decimals(column, text):
+    with pytest.raises(ValueError) as err:
+        parse_csv(_csv_with(column, text))
+    assert str(err.value) == f"column {column}: expected a decimal number, got {text!r}"
+
+
+def test_csv_names_the_column_of_a_bad_integer():
+    with pytest.raises(ValueError) as err:
+        parse_csv(_csv_with("dpll_nodes", "1_0"))
+    assert str(err.value) == "column dpll_nodes: expected an integer, got '1_0'"
+
+
+def _csv_with(column, text):
+    """export_csv of one record, with `text` in place of one column."""
+    header, line = export_csv([make_record()]).splitlines()
+    fields = line.split(",")
+    fields[COLUMNS.index(column)] = text
+    return header + "\r\n" + ",".join(fields) + "\r\n"
+
+
+def test_csv_reads_every_spelling_of_a_finite_float():
+    for seconds in (0.0, 1.5, 1.2e-05, 3e-07, 1234567.25, 1e16, 2.5e+20):
+        record = make_record(saturation_seconds=seconds, dpll_seconds=seconds)
+        assert parse_csv(export_csv([record])) == [record]
+
+
 def test_csv_rejects_foreign_headers():
     with pytest.raises(ValueError, match="unexpected header"):
         parse_csv("a,b,c\n1,2,3\n")
