@@ -129,6 +129,15 @@ def _write_output(path: str | None, text: str) -> None:
         raise OSError(exc.errno, exc.strerror, path) from exc
 
 
+def _int_flag(text: str) -> int:
+    """`parse_int` for a flag value; argparse prints a bad one as
+    `argument --k: expected an integer, got '1_0'`."""
+    try:
+        return parse_int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _add_family_flags(parser: argparse.ArgumentParser, required: bool) -> None:
     parser.add_argument(
         "--family",
@@ -136,7 +145,7 @@ def _add_family_flags(parser: argparse.ArgumentParser, required: bool) -> None:
         required=required,
         help="instance family to build",
     )
-    parser.add_argument("--k", type=parse_int, help="tree or chain depth")
+    parser.add_argument("--k", type=_int_flag, help="tree or chain depth")
     parser.add_argument(
         "--closure",
         help="binomial closure: alias:ROW, clause:ROW or none (default alias:1)",
@@ -159,7 +168,7 @@ def _add_family_flags(parser: argparse.ArgumentParser, required: bool) -> None:
         metavar="LEVEL.ROW:COUNT[:SEED]",
         help="append COUNT redundancy clauses for a node, drawn by SEED (default 0; repeatable)",
     )
-    parser.add_argument("--k-sub", type=parse_int, help="subtree depth for multi-branching (default 1)")
+    parser.add_argument("--k-sub", type=_int_flag, help="subtree depth for multi-branching (default 1)")
     parser.add_argument(
         "--negate-root", action="store_true", default=None, help="enter the tree by the negated root"
     )
@@ -168,17 +177,17 @@ def _add_family_flags(parser: argparse.ArgumentParser, required: bool) -> None:
 def _add_budget_flags(parser: argparse.ArgumentParser, defaults: Budget) -> None:
     parser.add_argument(
         "--max-clauses",
-        type=parse_int,
+        type=_int_flag,
         default=defaults.max_clauses,
         help="stop after this many stored clauses (default %(default)s)",
     )
     parser.add_argument(
         "--max-steps",
-        type=parse_int,
+        type=_int_flag,
         default=defaults.max_steps,
         help="stop after this many resolution steps (default %(default)s)",
     )
-    parser.add_argument("--max-width", type=parse_int, help="discard resolvents wider than this")
+    parser.add_argument("--max-width", type=_int_flag, help="discard resolvents wider than this")
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
@@ -327,9 +336,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="sweep families and report scaling")
     p.add_argument("--family", action="append", choices=FAMILIES, help="family to sweep (repeatable)")
-    p.add_argument("--k-min", type=parse_int, default=2)
-    p.add_argument("--k-max", type=parse_int, default=8)
-    p.add_argument("--repetitions", type=parse_int, default=3)
+    p.add_argument("--k-min", type=_int_flag, default=2)
+    p.add_argument("--k-max", type=_int_flag, default=8)
+    p.add_argument("--repetitions", type=_int_flag, default=3)
     _add_budget_flags(p, default_sweep_budget())
     p.add_argument("--csv", help="write per-run records to this path")
     p.set_defaults(func=cmd_bench)

@@ -148,7 +148,12 @@ NUMERIC_FLAG_COMMANDS = {
 def test_numeric_flags_read_ascii_digits_only(capsys, flag, text):
     code, out, err = run_argv(capsys, NUMERIC_FLAG_COMMANDS[flag] + [flag, text])
     assert (code, out) == (2, "")
-    assert flag in err and err.endswith(f"{text!r}\n"), err
+    expected = (
+        f'error: expected --chain as nonzero integer literals, e.g. "1 -4", got {text!r}\n'
+        if flag == "--chain"
+        else f"error: argument {flag}: expected an integer, got {text!r}\n"
+    )
+    assert err.endswith(expected), err
 
 
 def test_a_leading_zero_is_read_and_recorded_as_the_value(capsys):
