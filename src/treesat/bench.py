@@ -117,8 +117,8 @@ def _parse_decimal(text: str) -> float:
 
 def parse_csv(text: str) -> list[BenchRecord]:
     """Inverse of export_csv.  Integer columns are read by `parse_int`,
-    the seconds columns as ASCII decimals (`-?[0-9]+(.[0-9]+)?` with an
-    optional exponent); a bad value raises ValueError naming its column."""
+    the seconds columns as `str(float)` writes a finite float, in ASCII
+    (`-1.5`, `3e-07`); a bad value raises ValueError naming its column."""
     reader = csv.DictReader(io.StringIO(text, newline=""))
     if reader.fieldnames != list(COLUMNS):
         raise ValueError(f"unexpected header {reader.fieldnames}")

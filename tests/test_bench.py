@@ -74,6 +74,14 @@ def test_csv_round_trip():
     assert parse_csv(text) == records
 
 
+def _csv_with(column, text):
+    """export_csv of one record, with `text` in place of one column."""
+    header, line = export_csv([make_record()]).splitlines()
+    fields = line.split(",")
+    fields[COLUMNS.index(column)] = text
+    return header + "\r\n" + ",".join(fields) + "\r\n"
+
+
 @pytest.mark.parametrize("column", ["saturation_seconds", "dpll_seconds"])
 @pytest.mark.parametrize("text", ["1_0.5", "\u0663", "nan", "inf", "-inf", "1.", ".5", " 1.5", "0x1p-3"])
 def test_csv_seconds_are_ascii_decimals(column, text):
@@ -86,14 +94,6 @@ def test_csv_names_the_column_of_a_bad_integer():
     with pytest.raises(ValueError) as err:
         parse_csv(_csv_with("dpll_nodes", "1_0"))
     assert str(err.value) == "column dpll_nodes: expected an integer, got '1_0'"
-
-
-def _csv_with(column, text):
-    """export_csv of one record, with `text` in place of one column."""
-    header, line = export_csv([make_record()]).splitlines()
-    fields = line.split(",")
-    fields[COLUMNS.index(column)] = text
-    return header + "\r\n" + ",".join(fields) + "\r\n"
 
 
 def test_csv_reads_every_spelling_of_a_finite_float():
