@@ -93,7 +93,8 @@ def _input_formula(args: argparse.Namespace) -> CnfFormula:
             if getattr(args, dest) is not None:
                 raise ValueError(f"{_flag(dest)} builds a family and cannot be used with --in")
         try:
-            with open(args.input, encoding="utf-8") as fh:
+            # newline="" hands parse_dimacs the line ends as written.
+            with open(args.input, encoding="utf-8", newline="") as fh:
                 text = fh.read()
         except UnicodeDecodeError as exc:
             raise DimacsError(f"{args.input}: not UTF-8 text (byte {exc.start})") from None

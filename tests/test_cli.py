@@ -260,6 +260,15 @@ def test_a_file_that_is_not_utf8_is_a_bad_file(capsys, tmp_path):
     assert err == f"error: {path}: not UTF-8 text (byte 2)\n"
 
 
+def test_a_file_reads_its_line_ends_as_written(capsys, tmp_path):
+    path = tmp_path / "ends.cnf"
+    path.write_bytes(b"p cnf 2 2\r\n1 -2 0\r\n2 0\r\n")
+    assert run_cli(capsys, "solve", "--in", str(path)) == (10, "sat\n", "")
+    path.write_bytes(b"p cnf 2 2\n1 -2 0\r2 0\n")
+    code, out, err = run_cli(capsys, "solve", "--in", str(path))
+    assert (code, out, err) == (1, "", "error: line 2: bad literal '0\\r2'\n")
+
+
 def test_saturate_reports_match_the_engine(capsys):
     result = saturate(build_unit_chain(3))
     c = result.counters
