@@ -277,9 +277,10 @@ def parse_dimacs(text: str) -> CnfFormula:
         line = line.strip(" \t\r")
         if not line:
             continue
-        # On printable ASCII, str.split() splits at spaces only.
-        plain = line.isascii() and line.isprintable()
         if line.startswith("c"):
+            # str.split() is twice as fast as the regex on the many `c var`
+            # lines, and on printable ASCII it splits at spaces only.
+            plain = line.isascii() and line.isprintable()
             parts = line.split(maxsplit=3) if plain else _SEPARATORS.split(line, 3)
             if len(parts) >= 4 and parts[1] == "meta":
                 metadata[parts[2]] = parts[3]
@@ -304,7 +305,7 @@ def parse_dimacs(text: str) -> CnfFormula:
         if line.startswith("p"):
             if num_vars >= 0:
                 raise DimacsError(f"line {lineno}: second header {line!r}")
-            fields = line.split() if plain else _SEPARATORS.split(line)
+            fields = _SEPARATORS.split(line)
             try:
                 num_vars, num_clauses = map(parse_int, fields[2:])
             except ValueError:
@@ -314,9 +315,10 @@ def parse_dimacs(text: str) -> CnfFormula:
             continue
         if num_vars < 0:
             raise DimacsError(f"line {lineno}: clause before header")
-        # One check per line: on printable ASCII without "_" or "+", int()
-        # reads exactly parse_int's grammar, -?[0-9]+.
-        if plain and "_" not in line and "+" not in line:
+        # One check per line: on printable ASCII without "_" or "+", split()
+        # splits at spaces only and int() reads exactly parse_int's grammar,
+        # -?[0-9]+.
+        if line.isascii() and line.isprintable() and "_" not in line and "+" not in line:
             read, tokens = int, line.split()
         else:
             read, tokens = parse_int, _SEPARATORS.split(line)
