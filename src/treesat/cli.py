@@ -26,6 +26,7 @@ from .forge import (
     parse_substitution,
 )
 from .formula import (
+    _SEPARATORS,
     Clause,
     CnfFormula,
     DimacsError,
@@ -218,8 +219,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _parse_chain(text: str) -> Clause:
+    """A clause from literals split at ASCII spaces and tabs, as a DIMACS
+    clause line is split."""
     try:
-        clause = make_clause([parse_int(tok) for tok in text.split()])
+        clause = make_clause([parse_int(tok) for tok in _SEPARATORS.split(text) if tok])
     except ValueError as exc:
         raise ValueError(
             f'expected --chain as nonzero integer literals, e.g. "1 -4", got {text!r}'
@@ -234,7 +237,7 @@ def cmd_saturate(args: argparse.Namespace) -> int:
     if clause is None and args.dot is not None:
         raise ValueError("--dot needs --chain to pick a clause")
     formula = _input_formula(args)
-    result = saturate(formula, _budget(args))
+    result = saturate(formula, _budget(args)._replace(goal=clause))
     c = result.counters
     print(f"status {result.status}")
     if result.stopped_by is not None:
@@ -247,13 +250,16 @@ def cmd_saturate(args: argparse.Namespace) -> int:
     if args.trace is not None:
         _write_output(args.trace, export_trace(result))
     if clause is not None:
-        cid = result.clause_id(clause)
+        # The run ends at the first stored clause that subsumes the goal.
+        goal = set(clause.lits)
+        cid = next((i for i, c in enumerate(result.store) if goal.issuperset(c.lits)), None)
         if cid is None:
             print(f"clause ({clause}) not in the saturated store")
             return 1
         chain = decision_chain_of(result, cid)
         names = " ".join(_var_label(formula, v) for v in chain.resolved)
-        print(f"chain for ({clause}): length {len(chain.resolved)}, resolved {names or '-'}")
+        label = f"({chain.clause})" + ("" if chain.clause == clause else f", a subset of ({clause})")
+        print(f"chain for {label}: length {len(chain.resolved)}, resolved {names or '-'}")
         if args.dot is not None:
             _write_output(args.dot, export_chain_dot(result, cid))
     return 0
@@ -322,7 +328,12 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_family_flags(p, required=False)
     _add_budget_flags(p, Budget())
     p.add_argument("--trace", help="write the full resolution trace to this path")
-    p.add_argument("--chain", metavar="LITS", help='report the decision chain of a clause, e.g. "1 4"')
+    p.add_argument(
+        "--chain",
+        metavar="LITS",
+        help='saturate toward a clause, e.g. "1 4", and report the decision chain '
+        "of the stored clause that subsumes it",
+    )
     p.add_argument("--dot", help="write the picked chain's ancestry as Graphviz dot")
     p.set_defaults(func=cmd_saturate)
 

@@ -1,14 +1,25 @@
 """Resolution engine: single steps, saturation, and decision chains.
 
-Saturation is a given-clause loop with width-first selection.  The next
-given clause is the narrowest unprocessed clause, the lowest id breaking
-ties.  If a proper subset of it is stored by then, it is skipped: it is
-never resolved and never becomes a partner.  Otherwise every processed
-clause that it properly subsumes is withdrawn from the partners, and the
-given clause is resolved against every processed clause still there in
-ascending id order, on every variable the two share with opposite signs
-in ascending order, and then joins the processed set.  Skipped and
-withdrawn clauses are both counted as `retired`.  So each unordered pair
+Saturation is ordered resolution (Bachmair & Ganzinger, "Resolution
+Theorem Proving", Handbook of Automated Reasoning, 2001; Dechter & Rish,
+"Directional Resolution: The Davis-Putnam Procedure, Revisited", KR 1994)
+in a given-clause loop with width-first selection.  Each run fixes one
+atom order: the goal's atoms lowest, in ascending id, then every other
+atom by id, so without a goal, or with a goal on variable 1 alone, it is
+plain id order.  A clause's greatest literal is the one on its greatest
+atom, and a pair of clauses is eligible only when their greatest literals
+are complementary; it is resolved on that variable, and counted as a
+tautology when the two clash on other variables too.  Every step is one
+attempted inference on one variable.
+
+The next given clause is the narrowest unprocessed clause, the lowest id
+breaking ties.  If a proper subset of it is stored by then, it is
+skipped: it is never resolved and never becomes a partner.  Otherwise
+every processed clause that it properly subsumes is withdrawn from the
+partners, and the given clause is resolved against every processed
+clause still there whose greatest literal is the complement of its own,
+in ascending id order, and then joins the processed set.  Skipped and
+withdrawn clauses are both counted as `retired`.  So each eligible pair
 is tried at most once, when the later-processed clause is given, and runs
 are deterministic.  Clause ids are assigned in discovery order (original
 clauses first), and every trace step names the older parent as `left`.
@@ -19,25 +30,25 @@ others join the store, the trace and the unprocessed set.  Skipping a
 subsumed given and withdrawing the processed clauses a given subsumes are
 backward subsumption (the same manual), done when the given clause is
 activated.  The store stays append-only, so ids and traces keep their
-meaning, and deleting subsumed clauses keeps resolution
-refutation-complete (Bachmair & Ganzinger, "Resolution Theorem Proving",
-Handbook of Automated Reasoning, 2001): a withdrawn clause P contains the
-given clause G, so each resolvent of P and a clause Q is subsumed by G or
-by the resolvent of G and Q, and G stays a partner.  The first recorded
-derivation of a clause is the one its decision chain reports.  A run ends
-at the first stored clause that subsumes its goal (`Budget`).  A run that
-dropped an over-width resolvent and then ran out of clauses ends
-budget-exhausted, so a saturated store holds a subset of every clause the
-formula entails, and a unit missing from it is not entailed: the open
-depth-3 binomial tree saturates after 76 steps without its root unit.
+meaning.  Ordered resolution that deletes tautologies and subsumed
+clauses stays refutation-complete (Bachmair & Ganzinger), and the first
+recorded derivation of a clause is the one its decision chain reports.
+
+A run ends at the first stored clause that subsumes its goal (`Budget`).
+With the goal's atoms lowest, a saturated store holds a subset of every
+clause over those atoms that the formula entails: any assignment to the
+goal's atoms that satisfies the stored clauses over them extends, atom by
+atom upward, to a model of the store, since two clauses whose greatest
+literals clash on the next atom left their resolvent, or a subset of it,
+on lower atoms.  A run that dropped an over-width resolvent and then ran
+out of clauses ends budget-exhausted, so a saturated goal run shows that
+the goal is not entailed: the open depth-3 binomial tree saturates after
+6 steps without its root unit.
 
 The loop encodes each stored clause once as one int mask: with
-n = num_vars + 1, bit v stands for +v and bit n+v for -v.  A pair's clash
-(the partner's literals whose complement is in the given clause) is the
-partner's mask ANDed with the given mask's halves swapped.  With two or
-more clashing variables every resolvent is a tautology (Robinson, JACM
-1965), so those steps are counted without being built; with exactly one
-the resolvent is the union of the two masks less the clashing pair.  The
+n = num_vars + 1, bit v stands for +v and bit n+v for -v.  A resolvent
+is the union of the two masks less the resolved pair, and it is a
+tautology when its two halves overlap (Robinson, JACM 1965).  The
 store's dict is keyed by mask, and the canonical literal tuple is built
 only for resolvents that are stored; `Clause` objects only when a result
 is returned.  A novel resolvent or a given clause of width w is tested
@@ -66,9 +77,13 @@ class Budget(namedtuple("Budget", "max_clauses max_steps max_width goal")):
     variable count (no resolvent can be wider anyway).  The run ends at
     the first stored clause that subsumes the goal, which without a goal
     is the empty clause: `empty-derived` if that clause is empty, else
-    `goal-derived`.  So a goal run is the run without the goal, cut at
-    that run's first stored subsumer of the goal.  `_replace` does not
-    check its input, so only `goal` is replaced that way."""
+    `goal-derived`.  The goal's atoms come lowest in the run's atom
+    order, so a run that saturates without a subsumer shows the formula
+    does not entail the goal.  Only when the goal's atoms are already the
+    lowest ids (as for a unit on variable 1) is the order that of the run
+    without the goal, and the goal run that run cut at its first stored
+    subsumer of the goal.  `_replace` does not check its input, so only
+    `goal` is replaced that way."""
 
     __slots__ = ()
 
@@ -204,13 +219,16 @@ def _subsumed(mask: int, width: int, ids: dict[int, int], masks: list[int]) -> b
 
 def saturate(formula: CnfFormula, budget: Budget | None = None) -> SaturationResult:
     """Resolve to fixpoint, to a stored clause that subsumes the goal
-    (`Budget`) or to budget exhaustion, taking the narrowest unprocessed
-    clause (lowest id on ties) as the next given clause and resolving it
-    against every processed clause that no later given clause has
-    subsumed.  A resolvent that a stored clause subsumes is dropped and
-    counted as `subsumed`.  A given clause that a stored clause subsumes
-    is skipped, and a processed clause that a given clause subsumes is
-    withdrawn from the partners; both are counted as `retired`."""
+    (`Budget`) or to budget exhaustion by ordered resolution, the goal's
+    atoms lowest and the rest by id.  The narrowest unprocessed clause
+    (lowest id on ties) is the next given clause, and it is resolved on
+    its greatest literal against every processed clause whose greatest
+    literal is the complement, unless a later given clause has subsumed
+    that partner.  A resolvent that a stored clause subsumes is dropped
+    and counted as `subsumed`.  A given clause that a stored clause
+    subsumes is skipped, and a processed clause that a given clause
+    subsumes is withdrawn from the partners; both are counted as
+    `retired`."""
     budget = budget or Budget()
     max_width = budget.max_width if budget.max_width is not None else formula.num_vars
     max_steps = budget.max_steps
@@ -221,6 +239,15 @@ def saturate(formula: CnfFormula, budget: Budget | None = None) -> SaturationRes
     # is the empty clause.
     goal_lits = budget.goal.lits if budget.goal is not None else ()
     goal_mask = _mask_of(tuple(lit for lit in goal_lits if abs(lit) < n), n)
+    # The atoms above the goal's: a clause's greatest atom is its highest
+    # one among these, or its highest goal atom when it has none of them.
+    upper = low_half & ~(goal_mask | goal_mask >> n)
+
+    def greatest(mask: int) -> int:
+        atoms = (mask | mask >> n) & low_half
+        var = (atoms & upper or atoms).bit_length() - 1
+        return var if mask >> var & 1 else -var
+
     steps = tautologies = duplicates = over_width = subsumed = retired = 0
     stopped_by = None
 
@@ -229,10 +256,12 @@ def saturate(formula: CnfFormula, budget: Budget | None = None) -> SaturationRes
     ids: dict[int, int] = {mask: i for i, mask in enumerate(masks)}
     unprocessed = [(len(lits), i) for i, lits in enumerate(store)]
     heapq.heapify(unprocessed)
-    # Occurrences of processed clauses that are not withdrawn: a given
-    # clause meets each partner once, so every unordered pair is tried at
-    # most once.
+    # Processed clauses that are not withdrawn, by each of their literals
+    # (to find the ones a given clause subsumes) and by their greatest
+    # literal (the partners).  A given clause meets each partner once, so
+    # every eligible pair is tried at most once.
     occ: dict[int, set[int]] = {}
+    by_greatest: dict[int, set[int]] = {}
     trace: list[ResolutionStep] = []
     n_original = len(store)
 
@@ -259,32 +288,21 @@ def saturate(formula: CnfFormula, budget: Budget | None = None) -> SaturationRes
         for j in first.intersection(*rest):
             for lit in store[j]:
                 occ[lit].discard(j)
+            by_greatest[greatest(masks[j])].discard(j)
             retired += 1
-        # The given clause with every literal negated: its overlap with a
-        # partner is the partner's clashing literals.
-        swapped = mask_g >> n | (mask_g & low_half) << n
-        partners = sorted(set().union(*(occ.get(-lit, ()) for lit in lits_g)))
-        for j in partners:
+        top = greatest(mask_g)
+        var = abs(top)
+        pair = 1 << var | 1 << (var + n)
+        for j in sorted(by_greatest.get(-top, ())):
             if steps >= max_steps:
                 status, stopped_by = SaturationStatus.BUDGET_EXHAUSTED, "max_steps"
                 break
-            mask_j = masks[j]
-            clash = swapped & mask_j
-            if clash & (clash - 1):
-                # One step per clashing variable, each a tautology; the
-                # step budget may trip part way through them.
-                clashing = clash.bit_count()
-                taken = min(clashing, max_steps - steps)
-                steps += taken
-                tautologies += taken
-                if taken < clashing:
-                    status, stopped_by = SaturationStatus.BUDGET_EXHAUSTED, "max_steps"
-                    break
-                continue
             steps += 1
-            bit = clash.bit_length() - 1
-            var = bit if bit < n else bit - n
-            resolvent = (mask_g | mask_j) ^ (1 << var | 1 << (var + n))
+            resolvent = (mask_g | masks[j]) ^ pair
+            if resolvent & resolvent >> n:
+                # The parents clash on another variable too.
+                tautologies += 1
+                continue
             width = resolvent.bit_count()
             if width > max_width:
                 over_width += 1
@@ -312,6 +330,7 @@ def saturate(formula: CnfFormula, budget: Budget | None = None) -> SaturationRes
                 break
         for lit in lits_g:
             occ.setdefault(lit, set()).add(given)
+        by_greatest.setdefault(top, set()).add(given)
     if status is SaturationStatus.SATURATED and over_width:
         # A dropped resolvent might have led to the goal.
         status, stopped_by = SaturationStatus.BUDGET_EXHAUSTED, "max_width"

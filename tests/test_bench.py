@@ -37,7 +37,7 @@ def test_run_one_records_both_phases():
     assert record.family == "unit-chain" and record.k == 3
     assert record.variables == 3 and record.clauses == 3
     assert record.saturation_status == "saturated"
-    assert record.derived_clauses == 3
+    assert record.derived_clauses == 2  # (1 -2), then (1)
     assert record.dpll_verdict == "sat"
     assert record.dpll_nodes >= 1
     assert record.saturation_seconds >= 0 and record.dpll_seconds >= 0

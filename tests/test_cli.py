@@ -290,8 +290,28 @@ def test_saturate_chain_and_dot(capsys, tmp_path):
         "--chain", "1", "--dot", str(dot),
     )
     assert code == 0
-    assert "chain for (1): length 2, resolved x2.1 x3.1" in out
+    # --chain is the run's goal, so the run stops at the unit.
+    assert out.splitlines()[0] == "status goal-derived"
+    assert "chain for (1): length 2, resolved x3.1 x2.1" in out
     assert dot.read_text().startswith("digraph chain {")
+
+
+def test_saturate_chain_names_the_stored_subset_that_ended_the_run(capsys):
+    # (1 -3) is derived before the goal (1 -2 -3) and ends the run; an
+    # original subset ends it before any step.
+    cases = [
+        ("4", "1 -2 -3", "chain for (1 -3), a subset of (1 -2 -3): length 1, resolved x4.1"),
+        ("3", "1 2 -3", "chain for (1 2), a subset of (1 2 -3): length 0, resolved -"),
+        # ASCII spaces and tabs separate literals, at the ends too.
+        ("4", " 1\t-2  -3 ", "chain for (1 -3), a subset of (1 -2 -3): length 1, resolved x4.1"),
+    ]
+    for k, goal, line in cases:
+        code, out, err = run_cli(
+            capsys, "saturate", "--family", "unit-chain", "--k", k, "--chain", goal
+        )
+        assert (code, err) == (0, "")
+        assert out.splitlines()[0] == "status goal-derived"
+        assert out.splitlines()[-1] == line
 
 
 def test_saturate_chain_with_a_partial_atlas(capsys, tmp_path):
@@ -299,7 +319,13 @@ def test_saturate_chain_with_a_partial_atlas(capsys, tmp_path):
     path.write_text(PARTLY_NAMED)
     code, out, err = run_cli(capsys, "saturate", "--in", str(path), "--chain", "1 3")
     assert code == 0 and err == ""
+    # In id order (1 2) and (-2 3) are not eligible: their greatest
+    # literals are 2 and 3.  With the goal's atoms 1 and 3 lowest, 2 is
+    # greatest in both.
+    assert out.splitlines()[0] == "status goal-derived"
     assert "chain for (1 3): length 1, resolved 2" in out
+    code, out, _ = run_cli(capsys, "saturate", "--in", str(path))
+    assert (code, out.splitlines()[:2]) == (0, ["status saturated", "original 2 derived 0 steps 0"])
 
 
 def test_saturate_chain_miss_fails(capsys):
@@ -314,6 +340,9 @@ def test_saturate_chain_miss_fails(capsys):
         (["--chain", "1 -1"], "error: --chain clause '1 -1' is tautologous\n"),
         (["--chain", "0"], bad_chain.format("0")),
         (["--chain", "x"], bad_chain.format("x")),
+        # Only ASCII spaces and tabs separate literals, as in DIMACS.
+        (["--chain", "1\u00a0-2"], bad_chain.format("1\u00a0-2")),
+        (["--chain", "1\u2003-2"], bad_chain.format("1\u2003-2")),
         (["--dot", "x.dot"], "error: --dot needs --chain to pick a clause\n"),
     ]
     for flags, message in usage_errors:
@@ -337,9 +366,9 @@ def test_saturate_trace_export(capsys, tmp_path):
         capsys, "saturate", "--family", "unit-chain", "--k", "3", "--trace", str(trace)
     )
     assert code == 0
-    lines = trace.read_text().splitlines()
-    assert len(lines) == 3
-    assert lines[0].endswith("-> 3 : 1 3")
+    # (-2 3) and (1 -3) meet on their greatest atom 3, then (1 -2) and
+    # (1 2) on 2; (1) withdraws the rest, so no other pair is tried.
+    assert trace.read_text().splitlines() == ["1 2 3 -> 3 : 1 -2", "0 3 2 -> 4 : 1"]
 
 
 def test_max_steps_flag_caps_saturation(capsys):

@@ -16,7 +16,7 @@ from treesat.forge import (
 from treesat.formula import (
     ROOT, Clause, build_formula, make_clause,
 )
-from treesat.oracle import dpll_sat, entails
+from treesat.oracle import brute_force_sat, dpll_sat, entails
 from treesat.resolution import (
     Budget,
     ResolutionDominance,
@@ -63,6 +63,16 @@ def _random_formula(rng: random.Random, min_vars: int, max_vars: int, max_width:
     return build_formula([c for c in clauses if c is not None], n)
 
 
+def _renumbered(formula, seed: int):
+    """The formula with its variable ids permuted by a seeded shuffle, so
+    that saturation meets the same clauses in another atom order."""
+    ids = list(range(1, formula.num_vars + 1))
+    random.Random(seed).shuffle(ids)
+    new = dict(zip(range(1, formula.num_vars + 1), ids))
+    clauses = [make_clause([new[l] if l > 0 else -new[-l] for l in c.lits]) for c in formula.clauses]
+    return build_formula(clauses, formula.num_vars)
+
+
 def test_resolve_agrees_with_the_literal_merge_reference():
     rng = random.Random(7)
     for _ in range(2000):
@@ -92,12 +102,13 @@ def test_saturate_unit_chain_reaches_fixpoint():
     result = saturate(build_unit_chain(3))
     assert result.status is SaturationStatus.SATURATED
     assert result.n_original == 3
-    assert result.derived == (Clause((1, 3)), Clause((1, -2)), Clause((1,)))
-    assert result.counters.added == 3
+    # (-2 3) and (1 -3) meet on their greatest atom 3, (1 -2) and (1 2)
+    # on 2; no other pair is eligible.
+    assert result.derived == (Clause((1, -2)), Clause((1,)))
+    assert (result.counters.steps, result.counters.added) == (2, 2)
     assert result.counters.duplicates == 0
-    # (1 -2) is given after (1) is stored and is skipped; (1) then
-    # withdraws the processed (1 2), (1 -3) and (1 3).
-    assert result.counters.retired == 4
+    # (1) withdraws the processed (1 2), (1 -3) and (1 -2).
+    assert result.counters.retired == 3
 
 
 def test_saturation_counters_partition_the_steps():
@@ -120,48 +131,62 @@ def test_saturate_is_deterministic():
 
 
 # Status, counters, store size and a digest of the exported trace, pinned
-# from runs with forward subsumption, with subsumed given clauses skipped
-# and with the processed clauses a given clause subsumes withdrawn; a
-# faster kernel must reproduce them exactly, step-budget trips,
-# over-width, subsumed drops and retired clauses included.  The width-3
-# cap on crossed-4 no longer drops anything: no resolvent of that run is
-# wider than 3.
+# from runs of ordered resolution with forward subsumption, with subsumed
+# given clauses skipped and with the processed clauses a given clause
+# subsumes withdrawn; a faster kernel must reproduce them exactly,
+# step-budget trips, over-width, duplicate and subsumed drops and retired
+# clauses included.  In id order the compositions yield no resolvent
+# wider than 2, so the width caps drop nothing, and only tautologies are
+# dropped; the last two rows renumber the variables, which makes every
+# drop and a step-budget trip after over-width drops show.
 GOLDEN_RUNS = [
     (
         "matched-2",
         lambda: compose_two_trees(2, Closing.MATCHED),
         None,
-        ("empty-derived", 26, 26, 0, 0, 0, 0, 27, 44, "2b3cd3beaa388ccd"),
+        ("empty-derived", 8, 8, 0, 0, 0, 0, 17, 26, "241a6d989e72db55"),
     ),
     (
         "matched-3",
         lambda: compose_two_trees(3, Closing.MATCHED),
         None,
-        ("empty-derived", 79, 68, 0, 3, 0, 8, 52, 104, "6909f23b9be38c71"),
+        ("empty-derived", 15, 15, 0, 0, 0, 0, 29, 51, "df6c467df3379743"),
     ),
     (
         "matched-4",
         lambda: compose_two_trees(4, Closing.MATCHED),
         None,
-        ("empty-derived", 211, 151, 0, 29, 0, 31, 86, 211, "52815f8951f9d667"),
+        ("empty-derived", 24, 24, 0, 0, 0, 0, 45, 84, "20876ef1f7b9b8c9"),
     ),
     (
         "closed-tree-3",
         lambda: build_binomial_tree(TreeSpec(k=3)),
         Budget(20_000, 200_000),
-        ("saturated", 53, 42, 0, 3, 0, 8, 45, 60, "ff25d86a9f2cc2ef"),
+        ("saturated", 8, 8, 0, 0, 0, 0, 16, 26, "6fdbe35dcf644019"),
     ),
     (
         "crossed-4-width-3",
         lambda: compose_two_trees(4, Closing.CROSSED),
         Budget(max_width=3, max_steps=5000),
-        ("saturated", 3552, 808, 50, 2358, 0, 336, 536, 868, "6fc929352c43d31b"),
+        ("saturated", 26, 24, 2, 0, 0, 0, 40, 84, "3071b995c4433561"),
     ),
     (
         "crossed-5-width-2",
         lambda: compose_two_trees(5, Closing.CROSSED),
         Budget(max_width=2, max_steps=5000),
-        ("budget-exhausted", 5000, 472, 28, 3264, 1236, 0, 75, 562, "b46b2be7d431ac27"),
+        ("saturated", 38, 36, 2, 0, 0, 0, 60, 126, "82302fa68ad75de7"),
+    ),
+    (
+        "renumbered-crossed-4",
+        lambda: _renumbered(compose_two_trees(4, Closing.CROSSED), 1),
+        None,
+        ("saturated", 532, 282, 158, 5, 0, 87, 207, 342, "5d7e1173013e19a0"),
+    ),
+    (
+        "renumbered-matched-5-width-3",
+        lambda: _renumbered(compose_two_trees(5, Closing.MATCHED), 1),
+        Budget(max_width=3, max_steps=100),
+        ("budget-exhausted", 100, 34, 8, 0, 57, 1, 40, 124, "1adc65e05ec6c591"),
     ),
 ]
 
@@ -200,15 +225,16 @@ def test_forward_subsumption_drops_a_resolvent_and_a_goal_run_stops_at_its_subsu
 
 
 def test_a_wide_goal_run_ends_at_a_stored_subset_of_the_goal():
-    # (1 2) is stored first, so (1 2 3 -7) and the goal (1 2 3) itself are
-    # dropped when they are derived; (1 2) subsumes the goal and ends the
-    # run.
+    # (1 2) is stored first, so the goal (1 2 3) itself is dropped when
+    # (1 5) and the derived (2 3 -5) yield it; (1 2) subsumes the goal and
+    # ends the run.  The goal's atoms are the lowest ids, so the goal run
+    # is a prefix of the plain one.
     formula = build_formula(
         [Clause((1, 6)), Clause((2, -6)), Clause((1, 5)), Clause((2, 3, -5, -7)), Clause((7,))]
     )
     plain = saturate(formula)
     assert plain.derived == (Clause((1, 2)), Clause((2, 3, -5)))
-    assert plain.counters.subsumed == 2
+    assert plain.counters.subsumed == 1
     assert Clause((1, 2, 3)) not in plain.store
     goal = saturate(formula, Budget(goal=Clause((1, 2, 3))))
     assert goal.status is SaturationStatus.GOAL_DERIVED
@@ -218,11 +244,12 @@ def test_a_wide_goal_run_ends_at_a_stored_subset_of_the_goal():
 
 
 def test_wide_resolvent_is_subsumed_by_a_narrow_clause():
-    # The resolvent (2..10) has more sub-masks than the store has clauses,
-    # so the test goes through the stored clauses instead.
+    # The two wide clauses meet on their greatest atom 11.  The resolvent
+    # (2..10) has more sub-masks than the store has clauses, so the test
+    # goes through the stored clauses instead.
     formula = build_formula([
-        Clause((1, 2, 3, 4, 5, 6, 7, 8, 9)),
-        Clause((-1, 2, 3, 4, 5, 6, 7, 8, 10)),
+        Clause((2, 3, 4, 5, 6, 7, 8, 9, 11)),
+        Clause((2, 3, 4, 5, 6, 7, 8, 10, -11)),
         Clause((9, 10)),
     ])
     result = saturate(formula)
@@ -262,24 +289,27 @@ def test_a_given_clause_does_not_subsume_itself():
     alone = saturate(build_formula([Clause((1, 2))]))
     assert alone.status is SaturationStatus.SATURATED
     assert alone.counters.retired == 0
-    pair = saturate(build_formula([Clause((1, 2)), Clause((-1, 3))]))
-    assert pair.derived == (Clause((2, 3)),)
+    pair = saturate(build_formula([Clause((1, 3)), Clause((2, -3))]))
+    assert pair.derived == (Clause((1, 2)),)
     assert pair.counters.retired == 0
 
 
 def test_a_processed_clause_that_the_given_clause_subsumes_is_withdrawn():
-    # (1 2) is derived from its two supersets and withdraws both when it
-    # is given, so the later (-1 3 4) meets only (1 2): one step, where
-    # resolving it against all three would store (2 3 4 5) and (2 3 4 -5)
-    # before (2 3 4).
-    formula = build_formula([Clause((1, 2, 5)), Clause((1, 2, -5)), Clause((-1, 3, 4))])
+    # (2 5) is derived from (2 5 6) and (2 5 -6) and withdraws them and
+    # the processed (1 2 5) when it is given.  So the later (3 4 -5),
+    # whose greatest literal -5 clashes with that of (1 2 5) and (2 5),
+    # meets only (2 5): one step, where meeting (1 2 5) first would store
+    # (1 2 3 4) before (2 3 4).
+    formula = build_formula(
+        [Clause((1, 2, 5)), Clause((2, 5, 6)), Clause((2, 5, -6)), Clause((3, 4, -5))]
+    )
     result = saturate(formula)
     assert result.status is SaturationStatus.SATURATED
-    assert result.derived == (Clause((1, 2)), Clause((2, 3, 4)))
-    assert result.trace == (ResolutionStep(0, 1, 5, 3), ResolutionStep(2, 3, 1, 4))
+    assert result.derived == (Clause((2, 5)), Clause((2, 3, 4)))
+    assert result.trace == (ResolutionStep(1, 2, 6, 4), ResolutionStep(3, 4, 5, 5))
     later = result.trace[1:]
-    assert not any({0, 1} & {step.left, step.right} for step in later)
-    assert (result.counters.steps, result.counters.retired) == (2, 2)
+    assert not any({0, 1, 2} & {step.left, step.right} for step in later)
+    assert (result.counters.steps, result.counters.retired) == (2, 3)
     assert tuple(replay_trace(formula, result.trace)) == result.store
 
 
@@ -318,20 +348,17 @@ def test_budget_rejects_a_negative_limit(field):
     assert getattr(Budget(**{field: 0}), field) == 0
 
 
-def test_step_budget_trips_inside_a_multi_clash_pair():
-    # The two clauses clash on all three variables: three tautologies.
+def test_a_pair_that_clashes_on_more_than_its_greatest_atom_is_one_tautology():
+    # The two clauses are eligible on 3 and clash on 1 and 2 too: one step,
+    # counted as a tautology.
     formula = build_formula([Clause((1, 2, 3)), Clause((-1, -2, -3))])
-    capped = saturate(formula, Budget(max_steps=2))
-    assert capped.status is SaturationStatus.BUDGET_EXHAUSTED
-    assert capped.stopped_by == "max_steps"
-    assert (capped.counters.steps, capped.counters.tautologies) == (2, 2)
     none = saturate(formula, Budget(max_steps=0))
     assert none.status is SaturationStatus.BUDGET_EXHAUSTED
     assert none.counters.steps == 0
     full = saturate(formula)
     assert full.status is SaturationStatus.SATURATED
     assert full.stopped_by is None
-    assert (full.counters.steps, full.counters.tautologies) == (3, 3)
+    assert (full.counters.steps, full.counters.tautologies) == (1, 1)
 
 
 def test_empty_clause_among_originals_short_circuits():
@@ -374,7 +401,8 @@ def test_decision_chain_of_the_derived_unit():
     unit_id = result.clause_id(Clause((1,)))
     chain = decision_chain_of(result, unit_id)
     assert chain.clause == Clause((1,))
-    assert chain.resolved == (2, 3)
+    # (1 -2) is resolved out of (-2 3) and (1 -3) on 3, then (1) on 2.
+    assert chain.resolved == (3, 2)
 
 
 def test_decision_chain_lengths_scale_with_chain_size():
@@ -499,19 +527,20 @@ def test_goal_never_derived_leaves_the_run_unchanged():
     unit = Clause((formula.atlas.id_of(ROOT),))
     full = saturate(formula, budget)
     assert full.status is SaturationStatus.SATURATED
-    assert full.counters.steps == 76
+    assert full.counters.steps == 6
     assert saturate(formula, budget._replace(goal=unit)) == full
 
 
 def test_a_goal_run_ends_at_the_first_subsumer_in_the_run_without_goal():
+    # With the goal's atoms the lowest ids, 1..m, the atom order is that of
+    # the run without the goal, so the goal run is a prefix of it.
     rng = random.Random(23)
     budget = Budget(max_steps=2_000)
     for _ in range(500):
         formula = _random_formula(rng, 2, 8, 4)
         # Goals may be wide and may name variables the formula lacks.
-        goal = make_clause([v if rng.random() < 0.5 else -v
-                            for v in rng.sample(range(1, formula.num_vars + 3),
-                                                rng.randint(1, 4))])
+        m = rng.randint(1, min(4, formula.num_vars + 2))
+        goal = make_clause([v if rng.random() < 0.5 else -v for v in range(1, m + 1)])
         full = saturate(formula, budget)
         run = saturate(formula, budget._replace(goal=goal))
         first = next(
@@ -528,6 +557,23 @@ def test_a_goal_run_ends_at_the_first_subsumer_in_the_run_without_goal():
             else SaturationStatus.EMPTY_DERIVED
         )
         assert run.status is expected
+
+
+def test_a_goal_run_reaches_the_goal_exactly_when_the_formula_entails_it():
+    # Any goal: its atoms come lowest, so a saturated store holds a subset
+    # of the goal whenever the formula entails it.
+    rng = random.Random(2028)
+    for _ in range(2_000):
+        formula = _random_formula(rng, 2, 6, 4)
+        n = formula.num_vars
+        goal = make_clause([v if rng.random() < 0.5 else -v
+                            for v in rng.sample(range(1, n + 3), rng.randint(0, 4))])
+        result = saturate(formula, Budget(goal=goal))
+        assert result.status is not SaturationStatus.BUDGET_EXHAUSTED
+        reached = result.status is not SaturationStatus.SATURATED
+        # Literals on variables the formula lacks are false in some model.
+        inside = make_clause([lit for lit in goal.lits if abs(lit) <= n])
+        assert reached == entails(formula, inside, brute_force_sat), (formula, goal)
 
 
 def test_dominance_by_resolution_agrees_with_the_oracle():
@@ -547,3 +593,20 @@ def test_dominance_by_resolution_agrees_with_the_oracle():
                 # Deriving the unit, or the empty clause, shows it is entailed.
                 entailed = entails(formula, Clause((lit,)))
                 assert (verdict is ResolutionDominance.DOMINANT) == entailed, (name, k, lit)
+
+
+def test_dominance_by_resolution_agrees_with_the_oracle_under_renumbering():
+    # Each unit goal puts its own atom lowest, and the renumberings reorder
+    # the rest, so the verdicts do not rest on the order the generators
+    # number variables in (the test above runs the generators' order).
+    for name, build in FAMILIES.items():
+        for k in (2, 3):
+            for seed in (1, 2, 3):
+                formula = _renumbered(build(k), seed)
+                for lit in (s * v for v in range(1, formula.num_vars + 1) for s in (1, -1)):
+                    verdict = is_dominant_by_resolution(formula, lit)
+                    entailed = entails(formula, Clause((lit,)))
+                    expected = (
+                        ResolutionDominance.DOMINANT if entailed else ResolutionDominance.NOT_SHOWN
+                    )
+                    assert verdict is expected, (name, k, seed, lit)
