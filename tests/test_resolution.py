@@ -1,4 +1,5 @@
 import hashlib
+import heapq
 import random
 import re
 
@@ -18,9 +19,12 @@ from treesat.formula import (
 )
 from treesat.oracle import brute_force_sat, dpll_sat, entails
 from treesat.resolution import (
+    DEFAULT_MAX_CLAUSES,
+    DEFAULT_MAX_STEPS,
     Budget,
     ResolutionDominance,
     ResolutionStep,
+    SaturationCounters,
     SaturationStatus,
     decision_chain_of,
     export_chain_dot,
@@ -61,6 +65,72 @@ def _random_formula(rng: random.Random, min_vars: int, max_vars: int, max_width:
         for _ in range(rng.randint(2, 3 * n))
     ]
     return build_formula([c for c in clauses if c is not None], n)
+
+
+def reference_saturate(formula, budget):
+    """`saturate`'s policy restated on frozensets with plain scans: goal
+    atoms lowest in the atom order, width-then-id selection, a given clause
+    skipped when a stored proper subset exists, the processed clauses it
+    properly subsumes withdrawn, partners whose greatest literal is the
+    complement of its own in ascending id, resolvents dropped as tautology,
+    over-width, duplicate or subsumed in that order, and both budgets."""
+    goal = frozenset(budget.goal.lits) if budget.goal is not None else frozenset()
+    goal_atoms = {abs(lit) for lit in goal}
+
+    def greatest(clause):
+        return max(clause, key=lambda lit: (abs(lit) not in goal_atoms, abs(lit)))
+
+    max_width = formula.num_vars if budget.max_width is None else budget.max_width
+    store = [frozenset(c.lits) for c in formula.clauses]
+    unprocessed = [(len(c), i) for i, c in enumerate(store)]
+    heapq.heapify(unprocessed)
+    live, trace = [], []
+    steps = tautologies = duplicates = over_width = subsumed = retired = 0
+    status, stopped_by = "saturated", None
+    if any(c <= goal for c in store):
+        status = "empty-derived" if frozenset() in store else "goal-derived"
+    while status == "saturated" and unprocessed:
+        if len(store) >= budget.max_clauses:
+            status, stopped_by = "budget-exhausted", "max_clauses"
+            break
+        g = heapq.heappop(unprocessed)[1]
+        if any(c < store[g] for c in store):
+            retired += 1
+            continue
+        retired += sum(store[g] < store[j] for j in live)
+        live = [j for j in live if not store[g] < store[j]]
+        top = greatest(store[g])
+        for j in sorted(j for j in live if greatest(store[j]) == -top):
+            if steps >= budget.max_steps:
+                status, stopped_by = "budget-exhausted", "max_steps"
+                break
+            steps += 1
+            resolvent = (store[g] | store[j]) - {top, -top}
+            if any(-lit in resolvent for lit in resolvent):
+                tautologies += 1
+            elif len(resolvent) > max_width:
+                over_width += 1
+            elif resolvent in store:
+                duplicates += 1
+            elif any(c < resolvent for c in store):
+                subsumed += 1
+            else:
+                store.append(resolvent)
+                heapq.heappush(unprocessed, (len(resolvent), len(store) - 1))
+                trace.append(ResolutionStep(min(j, g), max(j, g), abs(top), len(store) - 1))
+                if resolvent <= goal:
+                    status = "goal-derived" if resolvent else "empty-derived"
+                    break
+                if len(store) >= budget.max_clauses:
+                    status, stopped_by = "budget-exhausted", "max_clauses"
+                    break
+        live.append(g)
+    if status == "saturated" and over_width:
+        status, stopped_by = "budget-exhausted", "max_width"
+    counters = SaturationCounters(
+        steps, len(trace), tautologies, duplicates, over_width, subsumed, retired
+    )
+    return status, stopped_by, counters, tuple(trace), store
 
 
 def _renumbered(formula, seed: int):
@@ -138,7 +208,9 @@ def test_saturate_is_deterministic():
 # clauses included.  In id order the compositions yield no resolvent
 # wider than 2, so the width caps drop nothing, and only tautologies are
 # dropped; the last two rows renumber the variables, which makes every
-# drop and a step-budget trip after over-width drops show.
+# drop and a step-budget trip after over-width drops show.  The last two
+# are the deepest inputs of the benchmark's `refute` and `dominance`
+# workloads, the closed tree without the workload's redundancy clauses.
 GOLDEN_RUNS = [
     (
         "matched-2",
@@ -187,6 +259,18 @@ GOLDEN_RUNS = [
         lambda: _renumbered(compose_two_trees(5, Closing.MATCHED), 1),
         Budget(max_width=3, max_steps=100),
         ("budget-exhausted", 100, 34, 8, 0, 57, 1, 40, 124, "1adc65e05ec6c591"),
+    ),
+    (
+        "matched-8",
+        lambda: compose_two_trees(8, Closing.MATCHED),
+        None,
+        ("empty-derived", 80, 80, 0, 0, 0, 0, 149, 296, "ab45470e6a6df717"),
+    ),
+    (
+        "closed-tree-12-root-goal",
+        lambda: build_binomial_tree(TreeSpec(k=12)),
+        Budget(20_000, 200_000, goal=Clause((1,))),
+        ("goal-derived", 78, 78, 0, 0, 0, 0, 135, 312, "95d464c8056ff937"),
     ),
 ]
 
@@ -339,6 +423,28 @@ def test_no_stored_resolvent_is_subsumed_by_an_older_clause():
                 assert not any(old < lits for old in seen), (formula, clause)
             seen.append(lits)
         assert tuple(replay_trace(formula, result.trace)) == result.store
+
+
+def test_saturate_matches_the_reference_policy_on_random_formulas():
+    rng = random.Random(2029)
+    for _ in range(400):
+        formula = _random_formula(rng, 2, 9, 4)
+        n = formula.num_vars
+        atoms = rng.sample(range(1, n + 1), rng.randint(1, min(n, 3)))
+        goal = rng.choice([None, make_clause([v if rng.random() < 0.5 else -v for v in atoms])])
+        # Budgets close to what the run needs, so that both of them trip.
+        budget = Budget(
+            rng.choice([len(formula.clauses) + rng.randint(0, 6), DEFAULT_MAX_CLAUSES]),
+            rng.choice([rng.randint(0, 10), DEFAULT_MAX_STEPS]),
+            rng.choice([None, 2, 3]),
+            goal,
+        )
+        result = saturate(formula, budget)
+        observed = (
+            str(result.status), result.stopped_by, result.counters, result.trace,
+            [frozenset(c.lits) for c in result.store],
+        )
+        assert observed == reference_saturate(formula, budget), (formula, budget)
 
 
 @pytest.mark.parametrize("field", ["max_clauses", "max_steps", "max_width"])
