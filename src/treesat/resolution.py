@@ -15,10 +15,11 @@ attempted inference on one variable.
 The next given clause is the narrowest unprocessed clause, the lowest id
 breaking ties.  If a proper subset of it is stored by then, it is
 skipped: it is never resolved and never becomes a partner.  Otherwise
-every processed clause that it properly subsumes is withdrawn from the
-partners, and the given clause is resolved against every processed
-clause still there whose greatest literal is the complement of its own,
-in ascending id order, and then joins the processed set.  Skipped and
+every processed clause that it properly subsumes is withdrawn.  Those
+not withdrawn are filed by literal in one index, and the given clause
+is resolved, in ascending id order, against those filed under the
+complement of its greatest literal whose own greatest literal is that
+complement, and then joins the processed set.  Skipped and
 withdrawn clauses are both counted as `retired`.  So each eligible pair
 is tried at most once, when the later-processed clause is given, and runs
 are deterministic.  Clause ids are assigned in discovery order (original
@@ -256,12 +257,11 @@ def saturate(formula: CnfFormula, budget: Budget | None = None) -> SaturationRes
     ids: dict[int, int] = {mask: i for i, mask in enumerate(masks)}
     unprocessed = [(len(lits), i) for i, lits in enumerate(store)]
     heapq.heapify(unprocessed)
-    # Processed clauses that are not withdrawn, by each of their literals
-    # (to find the ones a given clause subsumes) and by their greatest
-    # literal (the partners).  A given clause meets each partner once, so
-    # every eligible pair is tried at most once.
+    # Processed clauses that are not withdrawn, filed by each of their
+    # literals, and the greatest literal of every processed clause.  Each
+    # eligible pair is tried at most once, when its later clause is given.
     occ: dict[int, set[int]] = {}
-    by_greatest: dict[int, set[int]] = {}
+    top_of: dict[int, int] = {}
     trace: list[ResolutionStep] = []
     n_original = len(store)
 
@@ -283,17 +283,16 @@ def saturate(formula: CnfFormula, budget: Budget | None = None) -> SaturationRes
             retired += 1
             continue
         # The processed clauses that the given one subsumes leave the
-        # partners: the given clause covers every resolvent they yield.
+        # index: the given clause covers every resolvent they yield.
         first, *rest = (occ.get(lit, set()) for lit in lits_g)
         for j in first.intersection(*rest):
             for lit in store[j]:
                 occ[lit].discard(j)
-            by_greatest[greatest(masks[j])].discard(j)
             retired += 1
         top = greatest(mask_g)
         var = abs(top)
         pair = 1 << var | 1 << (var + n)
-        for j in sorted(by_greatest.get(-top, ())):
+        for j in sorted(j for j in occ.get(-top, ()) if top_of[j] == -top):
             if steps >= max_steps:
                 status, stopped_by = SaturationStatus.BUDGET_EXHAUSTED, "max_steps"
                 break
@@ -330,7 +329,7 @@ def saturate(formula: CnfFormula, budget: Budget | None = None) -> SaturationRes
                 break
         for lit in lits_g:
             occ.setdefault(lit, set()).add(given)
-        by_greatest.setdefault(top, set()).add(given)
+        top_of[given] = top
     if status is SaturationStatus.SATURATED and over_width:
         # A dropped resolvent might have led to the goal.
         status, stopped_by = SaturationStatus.BUDGET_EXHAUSTED, "max_width"
