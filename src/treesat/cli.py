@@ -207,7 +207,10 @@ def _var_label(formula: CnfFormula, vid: int) -> str:
 def cmd_solve(args: argparse.Namespace) -> int:
     formula = _input_formula(args)
     oracle = brute_force_sat if args.oracle == "brute" else dpll_sat
-    verdict = oracle(formula)
+    try:
+        verdict = oracle(formula)
+    except MemoryError:  # dpll_sat's tables grow with the declared count
+        raise MemoryError(f"not enough memory to decide {formula.num_vars} declared variables") from None
     print(verdict.status)
     if args.model and verdict.model is not None:
         pairs = (
@@ -363,7 +366,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DimacsError, OSError) as exc:
+    except (DimacsError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:

@@ -15,13 +15,17 @@ lines written before the header:
 A variable name from outside has one spelling (`parse_var_name`), and a
 number one grammar: `-?[0-9]+` in ASCII digits (`parse_int`).  A DIMACS
 line ends at `\n` (or `\r\n`), and the fields of a line are separated by
-ASCII spaces and tabs only.
+ASCII spaces and tabs only.  `parse_dimacs` reads a file in the shape
+`write_dimacs` gives in bulk, its clause section as one int stream; the
+line walk states that grammar and reads every other file.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from collections import namedtuple
+from itertools import compress, repeat
 
 
 class DimacsError(ValueError):
@@ -136,6 +140,14 @@ class Atlas:
         self._ids: dict[str, int] = {}
         self._names: list[str] = []
 
+    @classmethod
+    def _of(cls, names: list[str]) -> Atlas:
+        """The atlas giving distinct `names` ids 1, 2, ... in order."""
+        atlas = cls()
+        atlas._names = names
+        atlas._ids = dict(zip(names, range(1, len(names) + 1)))
+        return atlas
+
     def register(self, name: str) -> int:
         """Return the id for `name`, assigning the next id if new."""
         vid = self._ids.get(name)
@@ -158,7 +170,7 @@ class Atlas:
         return len(self._names)
 
     def items(self):
-        return ((vid, name) for vid, name in enumerate(self._names, start=1))
+        return enumerate(self._names, start=1)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Atlas) and self._names == other._names
@@ -243,15 +255,33 @@ def _check_range(clauses, num_vars: int) -> None:
 
 def write_dimacs(formula: CnfFormula) -> str:
     """Serialize deterministically; equal formulas give identical bytes."""
-    lines: list[str] = []
-    for key, value in formula.metadata.items():
-        lines.append(f"c meta {key} {value}")
-    for vid, name in formula.atlas.items():
-        lines.append(f"c var {vid} {name}")
+    lines = [f"c meta {key} {value}" for key, value in formula.metadata.items()]
+    lines += map("c var %d %s".__mod__, formula.atlas.items())
     lines.append(f"p cnf {formula.num_vars} {formula.num_clauses}")
+    templates: dict[int, str] = {}  # by width: "%d %d 0" for 2, "0" for the empty clause
     for clause in formula.clauses:
-        lines.append(" ".join(map(str, clause.lits)) + " 0")
+        lits = clause.lits
+        template = templates.get(len(lits))
+        if template is None:
+            template = templates[len(lits)] = "%d " * len(lits) + "0"
+        lines.append(template % lits)
     return "\n".join(lines) + "\n"
+
+
+# The common shape of a file, as write_dimacs gives it: `c meta` lines,
+# `c var` lines with ids 1, 2, ... in order and names in their one
+# spelling, then the header, in printable ASCII with single spaces.
+_HEAD = re.compile(
+    r"(?P<meta>(?:c meta [!-~]+ [!-~](?:[ -~]*[!-~])?\n)*)"
+    rf"(?P<vars>(?:c var [1-9][0-9]* (?:{_NAME.pattern})\n)*)"
+    r"p cnf (?P<num_vars>[0-9]+) (?P<num_clauses>[0-9]+)\r?\n",
+    re.ASCII,
+)
+# Never in a clause section read in bulk: "_" and "+", which int()
+# accepts and parse_int does not, and the ASCII separators that
+# str.split() splits at besides space, tab and "\n".  A "\r" may only end
+# a line.  On the rest of ASCII, int() reads exactly -?[0-9]+.
+_NOT_IN_CLAUSES = "_+\x0b\x0c\x1c\x1d\x1e\x1f"
 
 
 def parse_dimacs(text: str) -> CnfFormula:
@@ -261,7 +291,67 @@ def parse_dimacs(text: str) -> CnfFormula:
     with a line number, as are header mismatches, out-of-range variables,
     and unterminated clauses.  Any other separator is part of a field, so
     a literal holding one is a bad literal.
+
+    A file in write_dimacs's shape is read in bulk: the comments and
+    header by one pattern, then the clause section, checked as a whole,
+    as one int stream cut at its zeros.  Any other file, and any that
+    fails a check, goes to the line walk, which states the grammar and
+    names the first bad line.
     """
+    formula = _read_bulk(text)
+    return _walk_lines(text) if formula is None else formula
+
+
+def _read_bulk(text: str) -> CnfFormula | None:
+    """The formula `text` holds if it has the common shape and passes
+    every check, else None."""
+    head = _HEAD.match(text)
+    section = text[head.end():] if head else ""
+    if (
+        head is None
+        or not section.isascii()
+        or any(char in section for char in _NOT_IN_CLAUSES)
+        or section.count("\r") != section.count("\r\n")
+    ):
+        return None
+    fields = head["vars"].split()
+    ids, names = fields[2::4], fields[3::4]
+    try:
+        num_vars, num_clauses = int(head["num_vars"]), int(head["num_clauses"])
+        ints = tuple(map(int, section.split()))
+        if "b" in head["vars"]:
+            for name in names:
+                parse_var_name(name)  # a binary index must fit its level
+    except ValueError:
+        return None
+    magnitudes = tuple(map(abs, ints))
+    ends = list(compress(range(len(ints)), map(operator.not_, ints)))
+    if (
+        len(set(names)) != len(names)
+        or len(names) > num_vars
+        or ids != list(map(str, range(1, len(names) + 1)))
+        or ints and (ints[-1] != 0 or max(magnitudes) > num_vars)
+        or len(ends) != num_clauses
+    ):
+        return None
+    # A literal always rises from a 0 and a 0 never rises, so with a 0
+    # put before the stream, each clause's variables rise strictly iff
+    # every literal rises from its neighbour.
+    rising = sum(map(operator.lt, (0, *magnitudes), magnitudes)) == len(ints) - len(ends)
+    lits = map(ints.__getitem__, map(slice, [0] + [end + 1 for end in ends[:-1]], ends))
+    # tuple.__new__ builds each Clause as Clause._unchecked does, without a
+    # Python call per clause.
+    clauses = dict.fromkeys(
+        map(tuple.__new__, repeat(Clause), zip(lits)) if rising else map(make_clause, lits)
+    )
+    if None in clauses:  # a tautology: the line walk names its line
+        return None
+    metadata = dict(line.split(" ", 3)[2:] for line in head["meta"].splitlines())
+    return CnfFormula._unchecked(tuple(clauses), num_vars, Atlas._of(names), metadata)
+
+
+def _walk_lines(text: str) -> CnfFormula:
+    """Parse `text` line by line, raising the first error in text order."""
     metadata: dict[str, str] = {}
     atlas = Atlas()
     atlas_ids: dict[int, str] = {}
@@ -270,18 +360,14 @@ def parse_dimacs(text: str) -> CnfFormula:
     num_vars = num_clauses = -1
     clauses: list[Clause] = []
     pending: list[int] = []
-    pending_line = last = 0
-    rising = True
+    pending_line = 0
 
     for lineno, line in enumerate(text.split("\n"), start=1):
         line = line.strip(" \t\r")
         if not line:
             continue
         if line.startswith("c"):
-            # str.split() is twice as fast as the regex on the many `c var`
-            # lines, and on printable ASCII it splits at spaces only.
-            plain = line.isascii() and line.isprintable()
-            parts = line.split(maxsplit=3) if plain else _SEPARATORS.split(line, 3)
+            parts = _SEPARATORS.split(line, 3)
             if len(parts) >= 4 and parts[1] == "meta":
                 metadata[parts[2]] = parts[3]
             elif len(parts) >= 4 and parts[1] == "var":
@@ -315,38 +401,25 @@ def parse_dimacs(text: str) -> CnfFormula:
             continue
         if num_vars < 0:
             raise DimacsError(f"line {lineno}: clause before header")
-        # One check per line: on printable ASCII without "_" or "+", split()
-        # splits at spaces only and int() reads exactly parse_int's grammar,
-        # -?[0-9]+.
-        if line.isascii() and line.isprintable() and "_" not in line and "+" not in line:
-            read, tokens = int, line.split()
-        else:
-            read, tokens = parse_int, _SEPARATORS.split(line)
-        for token in tokens:
+        for token in _SEPARATORS.split(line):
             try:
-                lit = read(token)
+                lit = parse_int(token)
             except ValueError:
                 raise DimacsError(f"line {lineno}: bad literal {token!r}") from None
             if lit == 0:
-                # Strictly rising variables make a canonical clause as written.
-                clause = Clause._unchecked(tuple(pending)) if rising else make_clause(pending)
+                clause = make_clause(pending)
                 if clause is None:
                     raise DimacsError(
                         f"line {lineno}: tautologous clause {' '.join(map(str, pending))}"
                     )
                 clauses.append(clause)
                 pending = []
-                last, rising = 0, True
             else:
                 var = abs(lit)
                 if var > num_vars:
                     raise DimacsError(
                         f"line {lineno}: variable {var} above declared count {num_vars}"
                     )
-                if var > last:
-                    last = var
-                else:
-                    rising = False
                 if not pending:
                     pending_line = lineno
                 pending.append(lit)

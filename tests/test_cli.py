@@ -252,6 +252,20 @@ def test_solve_input_errors(capsys, tmp_path):
     assert code == 1 and "error:" in err
 
 
+def test_solve_out_of_memory_names_the_declared_variable_count(capsys, tmp_path, monkeypatch):
+    # dpll_sat's per-literal tables for 10**9 declared variables do not
+    # fit; a stand-in raises as they would, without allocating.
+    def no_memory(formula):
+        raise MemoryError
+
+    monkeypatch.setattr("treesat.cli.dpll_sat", no_memory)
+    path = tmp_path / "huge.cnf"
+    path.write_text("p cnf 1000000000 1\n1 0\n")
+    code, out, err = run_cli(capsys, "solve", "--in", str(path))
+    assert (code, out) == (1, "")
+    assert err == "error: not enough memory to decide 1000000000 declared variables\n"
+
+
 def test_a_file_that_is_not_utf8_is_a_bad_file(capsys, tmp_path):
     path = tmp_path / "latin.cnf"
     path.write_bytes(b"c \xe3\x28\xff\np cnf 1 1\n1 0\n")

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from treesat import formula as formula_module
 from treesat.formula import (
     ROOT,
     Atlas,
@@ -141,6 +142,15 @@ p cnf 2 2
 """
 
 
+def test_write_dimacs_formats_the_empty_clause_and_a_wide_one():
+    wide = Clause(tuple((-1) ** v * v for v in range(1, 31)))
+    f = build_formula([Clause(()), wide, Clause((-3,))], 30)
+    text = write_dimacs(f)
+    assert text.split("\n")[1:] == ["0", " ".join(map(str, wide.lits)) + " 0", "-3 0", ""]
+    assert parse_dimacs(text) == f
+    assert write_dimacs(parse_dimacs(text)) == text
+
+
 def test_write_dimacs_golden():
     atlas = Atlas()
     atlas.register(ROOT)
@@ -232,6 +242,10 @@ def test_parse_dimacs_duplicate_clauses_counted_against_header():
         ("p cnf 2 1\n1 -2\x0b0\n", "line 2: bad literal '-2\\x0b0'"),
         ("p cnf 2 1\n1\r-2 0\n", "line 2: bad literal '1\\r-2'"),
         ("p\u00a0cnf 2 1\n1 -2 0\n", "line 1: malformed header"),
+        # The first error in text order wins, whatever its kind.
+        ("p cnf 2 2\n3 0\nx 0\n", "line 2: variable 3 above declared count 2"),
+        ("p cnf 3 2\n1 2 0\n3 -1 1 0\n", "line 3: tautologous clause 3 -1 1"),
+        ("p cnf 3 1\n1\n-2\n3\n", "line 2: clause not terminated by 0"),
     ],
 )
 def test_parse_dimacs_rejects_malformed_input(text, fragment):
@@ -282,3 +296,99 @@ def test_parse_dimacs_builds_each_clause_as_make_clause_does():
             continue
         expected = build_formula([make_clause(lits) for lits in clause_tokens], n)
         assert [c.lits for c in parse_dimacs(text).clauses] == [c.lits for c in expected.clauses]
+
+
+# The differential test: parse_dimacs, which reads a file in the common
+# shape in bulk, against the line walk, which states the grammar, on
+# seeded random texts.  Clean texts carry unsorted, repeated and
+# complementary literals, duplicate and empty clauses, clauses across
+# lines and several on a line, tabs, CRLF, and comments and `c var`
+# lines after the header; corrupted ones each carry one fault.
+
+NAMES = ("x1.1", "x2.1", "x10.2", "s2.1", "s3.3", "t1.s2.2", "b1.2", "b3.8", "z0", "z12")
+SEPARATORS = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\u00a0", "\u2003", "\u2028", "\r")
+BAD_TOKENS = ("x", "+1", "1_0", "-\u0663", "--1", "-", "1-2", "-0", "01", "99")
+BAD_NAMES = ("q7", "b2.5", "x1.2", "s03.1")
+
+
+def random_dimacs(rng):
+    n = rng.randint(0, 7)
+    clauses = []
+    for _ in range(rng.randint(0, 6)):
+        lits = [rng.choice((1, -1)) * v for v in sorted(rng.sample(range(1, n + 1), rng.randint(0, min(n, 4))))]
+        if lits and rng.random() < 0.3:  # unsorted, perhaps with a literal repeated
+            lits += rng.sample(lits, rng.randint(0, 1))
+            rng.shuffle(lits)
+        elif lits and rng.random() < 0.05:
+            lits.insert(rng.randint(0, len(lits)), -rng.choice(lits))
+        clauses.append(lits)
+    if clauses and rng.random() < 0.2:
+        clauses.append(list(rng.choice(clauses)))
+    names = rng.sample(NAMES, rng.randint(0, min(n, len(NAMES))))
+    keys = rng.sample(("family", "k"), rng.randint(0, 2))
+    head = [f"c meta {key} {rng.choice(('a', 'b c', 'alias:1'))}" for key in keys]
+    var_lines = [f"c var {vid} {name}" for vid, name in enumerate(names, start=1)]
+    header = f"p cnf {n} {len(clauses)}"
+    body = []
+    for token in (str(token) for lits in clauses for token in lits + [0]):
+        if not body or rng.random() < 0.3:
+            body.append(token)
+        else:
+            body[-1] += rng.choice((" ", " ", " ", "\t", "  ")) + token
+    if rng.random() < 0.1:
+        body.insert(rng.randint(0, len(body)), rng.choice(("c note", "", "  ")))
+    if rng.random() < 0.1:
+        body += var_lines
+        var_lines = []
+
+    fault = rng.randint(0, 15)
+    if fault == 2 and body:  # a bad or odd literal
+        i = rng.randrange(len(body))
+        tokens = body[i].split(" ")
+        tokens[rng.randrange(len(tokens))] = rng.choice(BAD_TOKENS)
+        body[i] = " ".join(tokens)
+    elif fault == 3 and n:
+        body.append(f"{rng.choice((1, -1)) * (n + 1)} 0")
+    elif fault == 4 and body:  # the last 0 dropped, or a clause left open after it
+        body[-1] = body[-1][:-1] if rng.random() < 0.5 or not n else f"{body[-1]} {rng.randint(1, n)}"
+    elif fault == 5:
+        header = rng.choice((f"p cnf {n} {len(clauses) + 1}", "p cnf x 1", "p dnf 1 1", "p cnf 1"))
+    elif fault == 6:
+        body.insert(rng.randint(0, len(body)), header)
+    elif fault == 7 and var_lines:
+        var_lines[-1] = f"c var {len(var_lines)} {rng.choice(BAD_NAMES)}"
+    elif fault == 8 and len(var_lines) > 1:
+        var_lines[-1] = rng.choice((var_lines[0], f"c var {len(var_lines)} {names[0]}"))
+    elif fault == 9 and var_lines:
+        var_lines[0] = f"c var {len(var_lines) + 1} {names[0]}"
+    elif fault == 10:
+        head.insert(0, "1 0")  # a clause before the header
+    elif fault == 11 and names:  # more names than variables
+        header, body = f"p cnf {len(names) - 1} 0", []
+    eol = rng.choice(("\n", "\r\n")) if rng.random() < 0.2 else "\n"
+    text = eol.join(head + var_lines + [header] + body) + eol
+    if fault == 1:  # a bad separator or a bare carriage return
+        at = rng.choice([i for i, char in enumerate(text) if char in " \t\n"])
+        text = text[:at] + rng.choice(SEPARATORS) + text[at + 1:]
+    return text
+
+
+def outcome(parse, text):
+    try:
+        f = parse(text)
+    except DimacsError as exc:
+        return str(exc)
+    return f.clauses, tuple(map(type, f.clauses)), f.num_vars, list(f.atlas.items()), f.metadata
+
+
+def test_parse_dimacs_agrees_with_the_line_walk_on_random_texts():
+    rng = random.Random(3030)
+    bulk = errors = 0
+    for _ in range(3000):
+        text = random_dimacs(rng)
+        expected = outcome(formula_module._walk_lines, text)
+        assert outcome(parse_dimacs, text) == expected, text
+        bulk += formula_module._read_bulk(text) is not None
+        errors += isinstance(expected, str)
+    # Both paths and both outcomes are well represented.
+    assert bulk > 1000 and errors > 500

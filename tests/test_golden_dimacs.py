@@ -111,6 +111,19 @@ def test_write_dimacs_matches_the_pinned_digest(name):
     assert write_dimacs(parse_dimacs(text)) == text
 
 
+def test_generated_text_is_read_without_the_line_walk(monkeypatch):
+    # parse_dimacs reads a file in write_dimacs's shape in bulk; the line
+    # walk is only its error path.
+    def no_walk(text):
+        raise AssertionError("generated text went to the line walk")
+
+    monkeypatch.setattr("treesat.formula._walk_lines", no_walk)
+    formulas = [build() for build in CASES.values()]
+    formulas += [build(k) for build in FAMILIES.values() for k in range(2, 9)]
+    for formula in formulas:
+        assert parse_dimacs(write_dimacs(formula)) == formula
+
+
 # The `generate` flag that reads each `c meta` key's value; the value of
 # a repeatable flag is its items joined by `;`, and `root neg` is
 # `--negate-root`.
