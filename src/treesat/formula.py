@@ -270,12 +270,13 @@ def write_dimacs(formula: CnfFormula) -> str:
 
 # The common shape of a file, as write_dimacs gives it: `c meta` lines,
 # `c var` lines with ids 1, 2, ... in order and names in their one
-# spelling, then the header, in printable ASCII with single spaces.
-_HEAD = re.compile(
-    r"(?P<meta>(?:c meta [!-~]+ [!-~](?:[ -~]*[!-~])?\n)*)"
+# spelling, then the header, in printable ASCII with single spaces.  It
+# is compiled on first use and cached by `re`, so importing the module
+# does not pay for it.
+_HEAD = (
+    r"(?a)(?P<meta>(?:c meta [!-~]+ [!-~](?:[ -~]*[!-~])?\n)*)"
     rf"(?P<vars>(?:c var [1-9][0-9]* (?:{_NAME.pattern})\n)*)"
-    r"p cnf (?P<num_vars>[0-9]+) (?P<num_clauses>[0-9]+)\r?\n",
-    re.ASCII,
+    r"p cnf (?P<num_vars>[0-9]+) (?P<num_clauses>[0-9]+)\r?\n"
 )
 # Never in a clause section read in bulk: "_" and "+", which int()
 # accepts and parse_int does not, and the ASCII separators that
@@ -305,7 +306,7 @@ def parse_dimacs(text: str) -> CnfFormula:
 def _read_bulk(text: str) -> CnfFormula | None:
     """The formula `text` holds if it has the common shape and passes
     every check, else None."""
-    head = _HEAD.match(text)
+    head = re.match(_HEAD, text)
     section = text[head.end():] if head else ""
     if (
         head is None

@@ -309,6 +309,7 @@ NAMES = ("x1.1", "x2.1", "x10.2", "s2.1", "s3.3", "t1.s2.2", "b1.2", "b3.8", "z0
 SEPARATORS = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\u00a0", "\u2003", "\u2028", "\r")
 BAD_TOKENS = ("x", "+1", "1_0", "-\u0663", "--1", "-", "1-2", "-0", "01", "99")
 BAD_NAMES = ("q7", "b2.5", "x1.2", "s03.1")
+BAD_IDS = ("x", "+1", "\u0661", "0")
 
 
 def random_dimacs(rng):
@@ -341,7 +342,7 @@ def random_dimacs(rng):
         body += var_lines
         var_lines = []
 
-    fault = rng.randint(0, 15)
+    fault = rng.randint(0, 15)  # 0 and 12..15 leave the text clean
     if fault == 2 and body:  # a bad or odd literal
         i = rng.randrange(len(body))
         tokens = body[i].split(" ")
@@ -352,11 +353,13 @@ def random_dimacs(rng):
     elif fault == 4 and body:  # the last 0 dropped, or a clause left open after it
         body[-1] = body[-1][:-1] if rng.random() < 0.5 or not n else f"{body[-1]} {rng.randint(1, n)}"
     elif fault == 5:
-        header = rng.choice((f"p cnf {n} {len(clauses) + 1}", "p cnf x 1", "p dnf 1 1", "p cnf 1"))
+        header = rng.choice((f"p cnf {n} {len(clauses) + 1}", "p cnf x 1", "p dnf 1 1", "p cnf 1", "c"))
     elif fault == 6:
         body.insert(rng.randint(0, len(body)), header)
     elif fault == 7 and var_lines:
-        var_lines[-1] = f"c var {len(var_lines)} {rng.choice(BAD_NAMES)}"
+        var_lines[-1] = rng.choice((
+            f"c var {len(var_lines)} {rng.choice(BAD_NAMES)}", f"c var {rng.choice(BAD_IDS)} {names[-1]}",
+        ))
     elif fault == 8 and len(var_lines) > 1:
         var_lines[-1] = rng.choice((var_lines[0], f"c var {len(var_lines)} {names[0]}"))
     elif fault == 9 and var_lines:
@@ -365,7 +368,7 @@ def random_dimacs(rng):
         head.insert(0, "1 0")  # a clause before the header
     elif fault == 11 and names:  # more names than variables
         header, body = f"p cnf {len(names) - 1} 0", []
-    eol = rng.choice(("\n", "\r\n")) if rng.random() < 0.2 else "\n"
+    eol = "\r\n" if rng.random() < 0.1 else "\n"
     text = eol.join(head + var_lines + [header] + body) + eol
     if fault == 1:  # a bad separator or a bare carriage return
         at = rng.choice([i for i, char in enumerate(text) if char in " \t\n"])
@@ -390,5 +393,5 @@ def test_parse_dimacs_agrees_with_the_line_walk_on_random_texts():
         assert outcome(parse_dimacs, text) == expected, text
         bulk += formula_module._read_bulk(text) is not None
         errors += isinstance(expected, str)
-    # Both paths and both outcomes are well represented.
-    assert bulk > 1000 and errors > 500
+    # At least a quarter of the texts take the bulk read, and a quarter fail.
+    assert bulk > 750 and errors > 750
