@@ -46,25 +46,27 @@ out of clauses ends budget-exhausted, so a saturated goal run shows that
 the goal is not entailed: the open depth-3 binomial tree saturates after
 6 steps without its root unit.
 
-The loop encodes each stored clause once as one int mask: with
-n = num_vars + 1, bit v stands for +v and bit n+v for -v.  A resolvent
-is the union of the two masks less the resolved pair, and it is a
-tautology when its two halves overlap (Robinson, JACM 1965).  The
-store's dict is keyed by mask, and the canonical literal tuple is built
-only for resolvents that are stored; `Clause` objects only when a result
-is returned.  A novel resolvent or a given clause of width w is tested
-for subsumption by walking its 2^w - 2 proper non-empty sub-masks
-through that dict, or, when that is more lookups than the store has
-clauses, by scanning the stored masks.  `replay_trace` runs every step
-through `resolve` on literal tuples, so a replay checks a trace by a
-second, independent rule.
+The loop keeps each stored clause as its canonical literal tuple and,
+beside it, a frozenset of the same literals.  The store's dict is keyed
+by tuple.  A resolvent is the union of the two sets less the resolved
+pair, and it is a tautology when the partner holds the complement of
+another literal of the given clause (Robinson, JACM 1965); `Clause`
+objects are built only when a result is returned.  A novel resolvent or
+a given clause of width w is tested for subsumption by looking its
+2^w - 2 proper non-empty sub-tuples up in that dict, or, when that is
+more lookups than the store has clauses, by scanning the stored sets.
+No operation on a clause costs time that grows with the variable count,
+only with the clause's width.  `replay_trace` runs every step through
+`resolve`, so a replay checks a trace by a second, independent rule.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import namedtuple
+from collections import defaultdict, namedtuple
 from enum import Enum
+from itertools import combinations
+from operator import neg
 from typing import NamedTuple
 
 from .formula import Clause, CnfFormula, make_clause
@@ -181,41 +183,26 @@ def resolve(c1: Clause, c2: Clause, var: int) -> Clause | None:
     return make_clause(lit for lit in c1.lits + c2.lits if lit != var and lit != -var)
 
 
-def _mask_of(lits: tuple[int, ...], n: int) -> int:
-    """A clause as one int: bit v for the literal +v, bit n+v for -v."""
-    mask = 0
-    for lit in lits:
-        mask |= 1 << (lit if lit > 0 else n - lit)
-    return mask
-
-
-def _lits_of(mask: int, n: int) -> tuple[int, ...]:
-    """The canonical literal tuple of a clause mask (no tautologies)."""
-    pos = mask & ((1 << n) - 1)
-    rest = pos | mask >> n
-    lits = []
-    while rest:
-        low = rest & -rest
-        var = low.bit_length() - 1
-        lits.append(var if pos & low else -var)
-        rest ^= low
-    return tuple(lits)
-
-
-def _subsumed(mask: int, width: int, ids: dict[int, int], masks: list[int]) -> bool:
-    """Whether a proper non-empty subset of the clause `mask` is stored;
-    the clause itself may be stored (a given clause is).  A narrow clause
-    walks its 2^width - 2 proper sub-masks through the store's dict; a
-    wider one scans the stored masks, passing over its own, so the test
-    never costs more than one pass over the store."""
+def _subsumed(
+    lits: tuple[int, ...],
+    lit_set: frozenset[int],
+    ids: dict[tuple[int, ...], int],
+    sets: list[frozenset[int]],
+) -> bool:
+    """Whether a proper non-empty subset of the clause `lits` (as a set,
+    `lit_set`) is stored; the clause itself may be stored (a given clause
+    is).  A narrow clause looks its 2^width - 2 proper non-empty
+    sub-tuples, canonical since `lits` is, up in the store's dict; a
+    wider one scans the stored sets, so the test never costs more than
+    one pass over the store."""
+    width = len(lits)
     if 1 << width <= len(ids):
-        sub = (mask - 1) & mask
-        while sub:
-            if sub in ids:
-                return True
-            sub = (sub - 1) & mask
+        for size in range(1, width):
+            for sub in combinations(lits, size):
+                if sub in ids:
+                    return True
         return False
-    return any(stored & mask == stored != mask for stored in masks)
+    return any(stored < lit_set for stored in sets)
 
 
 def saturate(formula: CnfFormula, budget: Budget | None = None) -> SaturationResult:
@@ -234,41 +221,31 @@ def saturate(formula: CnfFormula, budget: Budget | None = None) -> SaturationRes
     max_width = budget.max_width if budget.max_width is not None else formula.num_vars
     max_steps = budget.max_steps
     max_clauses = budget.max_clauses
-    n = formula.num_vars + 1
-    low_half = (1 << n) - 1
-    # Literals on variables the formula lacks only widen the goal; no goal
-    # is the empty clause.
-    goal_lits = budget.goal.lits if budget.goal is not None else ()
-    goal_mask = _mask_of(tuple(lit for lit in goal_lits if abs(lit) < n), n)
-    # The atoms above the goal's: a clause's greatest atom is its highest
-    # one among these, or its highest goal atom when it has none of them.
-    upper = low_half & ~(goal_mask | goal_mask >> n)
-
-    def greatest(mask: int) -> int:
-        atoms = (mask | mask >> n) & low_half
-        var = (atoms & upper or atoms).bit_length() - 1
-        return var if mask >> var & 1 else -var
+    # No goal is the empty clause.  The greatest literal of a clause is
+    # its last one off the goal's atoms, or its last when it has none.
+    goal = frozenset(budget.goal.lits if budget.goal is not None else ())
+    goal_atoms = {abs(lit) for lit in goal}
 
     steps = tautologies = duplicates = over_width = subsumed = retired = 0
     stopped_by = None
 
     store: list[tuple[int, ...]] = [c.lits for c in formula.clauses]
-    masks = [_mask_of(lits, n) for lits in store]
-    ids: dict[int, int] = {mask: i for i, mask in enumerate(masks)}
+    sets = [frozenset(lits) for lits in store]
+    ids: dict[tuple[int, ...], int] = {lits: i for i, lits in enumerate(store)}
     unprocessed = [(len(lits), i) for i, lits in enumerate(store)]
     heapq.heapify(unprocessed)
     # Processed clauses that are not withdrawn, filed by each of their
     # literals, and the greatest literal of every processed clause.  Each
     # eligible pair is tried at most once, when its later clause is given.
-    occ: dict[int, set[int]] = {}
+    occ: defaultdict[int, set[int]] = defaultdict(set)
     top_of: dict[int, int] = {}
     trace: list[ResolutionStep] = []
     n_original = len(store)
 
     status = SaturationStatus.SATURATED
-    if 0 in ids:
+    if () in ids:
         status = SaturationStatus.EMPTY_DERIVED
-    elif any(mask & goal_mask == mask for mask in masks):
+    elif any(lit_set <= goal for lit_set in sets):
         status = SaturationStatus.GOAL_DERIVED
 
     while status is SaturationStatus.SATURATED and unprocessed:
@@ -277,58 +254,64 @@ def saturate(formula: CnfFormula, budget: Budget | None = None) -> SaturationRes
             break
         _, given = heapq.heappop(unprocessed)
         lits_g = store[given]
-        mask_g = masks[given]
+        set_g = sets[given]
         # A given that a stored clause subsumes never joins the partners.
-        if _subsumed(mask_g, len(lits_g), ids, masks):
+        if _subsumed(lits_g, set_g, ids, sets):
             retired += 1
             continue
         # The processed clauses that the given one subsumes leave the
         # index: the given clause covers every resolvent they yield.
-        first, *rest = (occ.get(lit, set()) for lit in lits_g)
-        for j in first.intersection(*rest):
+        for j in set.intersection(*map(occ.__getitem__, lits_g)):
             for lit in store[j]:
                 occ[lit].discard(j)
             retired += 1
-        top = greatest(mask_g)
-        var = abs(top)
-        pair = 1 << var | 1 << (var + n)
-        for j in sorted(j for j in occ.get(-top, ()) if top_of[j] == -top):
+        for top in reversed(lits_g):
+            if abs(top) not in goal_atoms:
+                break
+        else:
+            top = lits_g[-1]
+        partners = sorted(j for j in occ[-top] if top_of[j] == -top)
+        if partners:
+            var = abs(top)
+            pair = (top, -top)
+            # A partner that holds one of these clashes on another variable too.
+            clashes = set(map(neg, lits_g))
+            clashes.discard(-top)
+        for j in partners:
             if steps >= max_steps:
                 status, stopped_by = SaturationStatus.BUDGET_EXHAUSTED, "max_steps"
                 break
             steps += 1
-            resolvent = (mask_g | masks[j]) ^ pair
-            if resolvent & resolvent >> n:
-                # The parents clash on another variable too.
+            if not clashes.isdisjoint(store[j]):
                 tautologies += 1
                 continue
-            width = resolvent.bit_count()
-            if width > max_width:
+            resolvent = (set_g | sets[j]).difference(pair)
+            if len(resolvent) > max_width:
                 over_width += 1
                 continue
-            if resolvent in ids:
+            lits = tuple(sorted(resolvent, key=abs))
+            if lits in ids:
                 duplicates += 1
                 continue
-            if _subsumed(resolvent, width, ids, masks):
+            if _subsumed(lits, resolvent, ids, sets):
                 subsumed += 1
                 continue
             new_id = len(store)
-            ids[resolvent] = new_id
-            masks.append(resolvent)
-            lits = _lits_of(resolvent, n)
+            ids[lits] = new_id
             store.append(lits)
+            sets.append(resolvent)
             heapq.heappush(unprocessed, (len(lits), new_id))
             trace.append(ResolutionStep(min(j, given), max(j, given), var, new_id))
-            if resolvent & goal_mask == resolvent:
+            if resolvent <= goal:
                 status = (
-                    SaturationStatus.GOAL_DERIVED if resolvent else SaturationStatus.EMPTY_DERIVED
+                    SaturationStatus.GOAL_DERIVED if lits else SaturationStatus.EMPTY_DERIVED
                 )
                 break
             if len(store) >= max_clauses:
                 status, stopped_by = SaturationStatus.BUDGET_EXHAUSTED, "max_clauses"
                 break
         for lit in lits_g:
-            occ.setdefault(lit, set()).add(given)
+            occ[lit].add(given)
         top_of[given] = top
     if status is SaturationStatus.SATURATED and over_width:
         # A dropped resolvent might have led to the goal.

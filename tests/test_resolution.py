@@ -329,7 +329,7 @@ def test_a_wide_goal_run_ends_at_a_stored_subset_of_the_goal():
 
 def test_wide_resolvent_is_subsumed_by_a_narrow_clause():
     # The two wide clauses meet on their greatest atom 11.  The resolvent
-    # (2..10) has more sub-masks than the store has clauses, so the test
+    # (2..10) has more proper subsets than the store has clauses, so the test
     # goes through the stored clauses instead.
     formula = build_formula([
         Clause((2, 3, 4, 5, 6, 7, 8, 9, 11)),
@@ -343,8 +343,8 @@ def test_wide_resolvent_is_subsumed_by_a_narrow_clause():
 
 
 def test_a_narrow_given_clause_subsumed_through_the_sub_mask_walk_is_skipped():
-    # Four stored clauses, so the width-2 given (1 2) walks its two
-    # sub-masks and finds (1).
+    # Four stored clauses, so the width-2 given (1 2) looks up its two
+    # proper subsets and finds (1).
     result = saturate(build_formula(
         [Clause((1,)), Clause((1, 2)), Clause((-2, 3)), Clause((4, 5))]
     ))
@@ -356,7 +356,7 @@ def test_a_narrow_given_clause_subsumed_through_the_sub_mask_walk_is_skipped():
 
 
 def test_a_wide_given_clause_subsumed_through_the_scan_is_skipped():
-    # 2^5 sub-masks against three stored clauses: the test scans the store.
+    # 2^5 subsets against three stored clauses: the test scans the store.
     result = saturate(build_formula(
         [Clause((1, 2, 3, 4, 5)), Clause((2, 4)), Clause((-5, 6))]
     ))
@@ -445,6 +445,55 @@ def test_saturate_matches_the_reference_policy_on_random_formulas():
             [frozenset(c.lits) for c in result.store],
         )
         assert observed == reference_saturate(formula, budget), (formula, budget)
+
+
+def test_saturate_matches_the_reference_policy_on_wide_clauses():
+    # Widths up to 10 over up to 14 variables, so that resolvents often
+    # have more proper subsets than the store has clauses (the scan
+    # branch of the subsumption test) and wide parents clash on more than
+    # their greatest atom; goals of 1-3 literals; step budgets that trip.
+    rng = random.Random(3101)
+
+    def random_lits(n, width):
+        return make_clause([v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n + 1), width)])
+
+    scanned = tripped = tautologies = 0
+    for _ in range(120):
+        n = rng.randint(6, 14)
+        clauses = [random_lits(n, rng.randint(2, min(n, 10))) for _ in range(rng.randint(n, 4 * n))]
+        formula = build_formula(clauses, n)
+        budget = Budget(
+            max_steps=rng.choice([rng.randint(0, 40), DEFAULT_MAX_STEPS]),
+            max_width=rng.choice([None, 4, 8]),
+            goal=random_lits(n, rng.randint(1, 3)),
+        )
+        result = saturate(formula, budget)
+        observed = (
+            str(result.status), result.stopped_by, result.counters, result.trace,
+            [frozenset(c.lits) for c in result.store],
+        )
+        assert observed == reference_saturate(formula, budget), (formula, budget)
+        derived = enumerate(result.derived, result.n_original)
+        scanned += any(1 << len(c.lits) > i for i, c in derived)
+        tripped += result.stopped_by == "max_steps"
+        tautologies += result.counters.tautologies > 0
+    assert min(scanned, tripped, tautologies) >= 10, (scanned, tripped, tautologies)
+
+
+# In generator order saturation's work has closed forms in k.
+@pytest.mark.parametrize("k", [2, 3, 5, 8, 13, 21, 40])
+def test_saturation_work_follows_its_closed_forms(k):
+    matched = saturate(compose_two_trees(k, Closing.MATCHED))
+    assert matched.status is SaturationStatus.EMPTY_DERIVED
+    assert matched.counters.steps == k * (k + 2)
+    tree = build_binomial_tree(TreeSpec(k=k))
+    root = tree.atlas.id_of(ROOT)
+    goal_run = saturate(tree, Budget(goal=Clause((root,))))
+    assert goal_run.status is SaturationStatus.GOAL_DERIVED
+    assert goal_run.counters.steps == k * (k + 1) // 2
+    refuted = saturate(tree.with_extra([Clause((-root,))]))
+    assert refuted.status is SaturationStatus.EMPTY_DERIVED
+    assert refuted.counters.steps == k * (k + 1) // 2 + 1
 
 
 @pytest.mark.parametrize("field", ["max_clauses", "max_steps", "max_width"])
