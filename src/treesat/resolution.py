@@ -221,8 +221,9 @@ def saturate(formula: CnfFormula, budget: Budget | None = None) -> SaturationRes
     max_width = budget.max_width if budget.max_width is not None else formula.num_vars
     max_steps = budget.max_steps
     max_clauses = budget.max_clauses
-    # No goal is the empty clause.  The greatest literal of a clause is
-    # its last one off the goal's atoms, or its last when it has none.
+    # No goal is the empty clause.  The greatest literal of a clause, its
+    # literals sorted by variable, is its last one off the goal's atoms,
+    # or its last when it has none.
     goal = frozenset(budget.goal.lits if budget.goal is not None else ())
     goal_atoms = {abs(lit) for lit in goal}
 
@@ -239,6 +240,7 @@ def saturate(formula: CnfFormula, budget: Budget | None = None) -> SaturationRes
     # eligible pair is tried at most once, when its later clause is given.
     occ: defaultdict[int, set[int]] = defaultdict(set)
     top_of: dict[int, int] = {}
+    widest = 0  # no processed clause is wider
     trace: list[ResolutionStep] = []
     n_original = len(store)
 
@@ -259,18 +261,20 @@ def saturate(formula: CnfFormula, budget: Budget | None = None) -> SaturationRes
         if _subsumed(lits_g, set_g, ids, sets):
             retired += 1
             continue
-        # The processed clauses that the given one subsumes leave the
-        # index: the given clause covers every resolvent they yield.
-        for j in set.intersection(*map(occ.__getitem__, lits_g)):
-            for lit in store[j]:
-                occ[lit].discard(j)
-            retired += 1
+        # The processed clauses that the given one subsumes, all wider
+        # than it, leave the index: the given clause covers every
+        # resolvent they yield.
+        if len(lits_g) < widest:
+            for j in set.intersection(*map(occ.__getitem__, lits_g)):
+                for lit in store[j]:
+                    occ[lit].discard(j)
+                retired += 1
         for top in reversed(lits_g):
             if abs(top) not in goal_atoms:
                 break
         else:
             top = lits_g[-1]
-        partners = sorted(j for j in occ[-top] if top_of[j] == -top)
+        partners = sorted(j for j in occ[-top] if top_of[j] == -top) if occ[-top] else ()
         if partners:
             var = abs(top)
             pair = (top, -top)
@@ -313,6 +317,7 @@ def saturate(formula: CnfFormula, budget: Budget | None = None) -> SaturationRes
         for lit in lits_g:
             occ[lit].add(given)
         top_of[given] = top
+        widest = max(widest, len(lits_g))
     if status is SaturationStatus.SATURATED and over_width:
         # A dropped resolvent might have led to the goal.
         status, stopped_by = SaturationStatus.BUDGET_EXHAUSTED, "max_width"
