@@ -62,8 +62,7 @@ only with the clause's width.  `replay_trace` runs every step through
 
 from __future__ import annotations
 
-import heapq
-from collections import defaultdict, namedtuple
+from collections import defaultdict, deque, namedtuple
 from enum import Enum
 from itertools import combinations
 from operator import neg
@@ -188,16 +187,18 @@ def _subsumed(
     lit_set: frozenset[int],
     ids: dict[tuple[int, ...], int],
     sets: list[frozenset[int]],
+    narrowest: int,
 ) -> bool:
     """Whether a proper non-empty subset of the clause `lits` (as a set,
     `lit_set`) is stored; the clause itself may be stored (a given clause
-    is).  A narrow clause looks its 2^width - 2 proper non-empty
-    sub-tuples, canonical since `lits` is, up in the store's dict; a
+    is), and no stored clause is narrower than `narrowest`.  A narrow
+    clause looks its proper sub-tuples of sizes `narrowest` up to
+    width - 1, canonical since `lits` is, up in the store's dict; a
     wider one scans the stored sets, so the test never costs more than
     one pass over the store."""
     width = len(lits)
     if 1 << width <= len(ids):
-        for size in range(1, width):
+        for size in range(narrowest, width):
             for sub in combinations(lits, size):
                 if sub in ids:
                     return True
@@ -233,8 +234,12 @@ def saturate(formula: CnfFormula, budget: Budget | None = None) -> SaturationRes
     store: list[tuple[int, ...]] = [c.lits for c in formula.clauses]
     sets = [frozenset(lits) for lits in store]
     ids: dict[tuple[int, ...], int] = {lits: i for i, lits in enumerate(store)}
-    unprocessed = [(len(lits), i) for i, lits in enumerate(store)]
-    heapq.heapify(unprocessed)
+    # A FIFO queue of unprocessed ids per width, none left empty.  Ids only
+    # grow, so the narrowest queue's front is the next given clause.
+    queues: defaultdict[int, deque[int]] = defaultdict(deque)
+    for i, lits in enumerate(store):
+        queues[len(lits)].append(i)
+    narrowest = min(queues, default=0)  # no stored clause is narrower
     # Processed clauses that are not withdrawn, filed by each of their
     # literals, and the greatest literal of every processed clause.  Each
     # eligible pair is tried at most once, when its later clause is given.
@@ -250,31 +255,33 @@ def saturate(formula: CnfFormula, budget: Budget | None = None) -> SaturationRes
     elif any(lit_set <= goal for lit_set in sets):
         status = SaturationStatus.GOAL_DERIVED
 
-    while status is SaturationStatus.SATURATED and unprocessed:
+    while status is SaturationStatus.SATURATED and queues:
         if len(store) >= max_clauses:
             status, stopped_by = SaturationStatus.BUDGET_EXHAUSTED, "max_clauses"
             break
-        _, given = heapq.heappop(unprocessed)
+        width = min(queues)
+        given = queues[width].popleft()
+        if not queues[width]:
+            del queues[width]
         lits_g = store[given]
         set_g = sets[given]
         # A given that a stored clause subsumes never joins the partners.
-        if _subsumed(lits_g, set_g, ids, sets):
+        if _subsumed(lits_g, set_g, ids, sets, narrowest):
             retired += 1
             continue
         # The processed clauses that the given one subsumes, all wider
         # than it, leave the index: the given clause covers every
         # resolvent they yield.
-        if len(lits_g) < widest:
+        if width < widest:
             for j in set.intersection(*map(occ.__getitem__, lits_g)):
                 for lit in store[j]:
                     occ[lit].discard(j)
                 retired += 1
-        for top in reversed(lits_g):
-            if abs(top) not in goal_atoms:
-                break
-        else:
-            top = lits_g[-1]
-        partners = sorted(j for j in occ[-top] if top_of[j] == -top) if occ[-top] else ()
+        top = lits_g[-1]
+        if goal_atoms and abs(top) in goal_atoms:
+            top = next((lit for lit in reversed(lits_g) if abs(lit) not in goal_atoms), top)
+        filed = occ.get(-top)
+        partners = sorted(j for j in filed if top_of[j] == -top) if filed else ()
         if partners:
             var = abs(top)
             pair = (top, -top)
@@ -297,14 +304,15 @@ def saturate(formula: CnfFormula, budget: Budget | None = None) -> SaturationRes
             if lits in ids:
                 duplicates += 1
                 continue
-            if _subsumed(lits, resolvent, ids, sets):
+            if _subsumed(lits, resolvent, ids, sets, narrowest):
                 subsumed += 1
                 continue
             new_id = len(store)
             ids[lits] = new_id
             store.append(lits)
             sets.append(resolvent)
-            heapq.heappush(unprocessed, (len(lits), new_id))
+            queues[len(lits)].append(new_id)
+            narrowest = min(narrowest, len(lits))
             trace.append(ResolutionStep(min(j, given), max(j, given), var, new_id))
             if resolvent <= goal:
                 status = (
@@ -317,7 +325,8 @@ def saturate(formula: CnfFormula, budget: Budget | None = None) -> SaturationRes
         for lit in lits_g:
             occ[lit].add(given)
         top_of[given] = top
-        widest = max(widest, len(lits_g))
+        if width > widest:
+            widest = width
     if status is SaturationStatus.SATURATED and over_width:
         # A dropped resolvent might have led to the goal.
         status, stopped_by = SaturationStatus.BUDGET_EXHAUSTED, "max_width"

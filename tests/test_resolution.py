@@ -17,6 +17,7 @@ from treesat.forge import (
 from treesat.formula import (
     ROOT, Clause, build_formula, make_clause,
 )
+from treesat import resolution
 from treesat.oracle import brute_force_sat, dpll_sat, entails
 from treesat.resolution import (
     DEFAULT_MAX_CLAUSES,
@@ -397,6 +398,53 @@ def test_a_processed_clause_that_the_given_clause_subsumes_is_withdrawn():
     assert tuple(replay_trace(formula, result.trace)) == result.store
 
 
+def _observed(result):
+    return (
+        str(result.status), result.stopped_by, result.counters, result.trace,
+        [frozenset(c.lits) for c in result.store],
+    )
+
+
+def test_a_unit_derived_mid_run_subsumes_through_the_sub_tuple_lookup():
+    # Every original has width 2 or 3.  Given (1 -9) meets (1 9) and then
+    # (5 9): the first step stores the unit (1), which subsumes the second
+    # resolvent (1 5).  The width-3 (1 3 4), still unprocessed, is skipped
+    # later.  Nine stored clauses make both tests look sub-tuples up rather
+    # than scan, so the lookups must reach width 1 once (1) is stored,
+    # below every original.
+    formula = build_formula([
+        Clause((1, 9)), Clause((5, 9)), Clause((1, -9)), Clause((1, 3, 4)),
+        Clause((10, 11)), Clause((12, 13)), Clause((14, 15)), Clause((16, 17)),
+    ])
+    result = saturate(formula)
+    assert result.status is SaturationStatus.SATURATED
+    assert result.trace == (ResolutionStep(0, 2, 9, 8),)
+    assert result.derived == (Clause((1,)),)
+    assert result.counters.subsumed == 1  # (1 5)
+    assert result.counters.retired == 3  # (1 9) and (1 -9) withdrawn, (1 3 4) skipped
+    assert _observed(result) == reference_saturate(formula, Budget())
+
+
+def test_a_narrower_resolvent_is_given_before_wider_originals():
+    # Given (1 5 -9) yields (1 5), which is given next, before the
+    # width-3 originals after it: so (2 3 -5) meets it when given.
+    # Resolvents of width 3 queue behind every width-3 original: (1 2 3)
+    # meets (1 2 -3) only when it is given, after (4 7 -8) has met (6 8).
+    formula = build_formula([
+        Clause((5, 9)), Clause((6, 8)), Clause((1, 5, -9)), Clause((2, 3, -5)),
+        Clause((1, 2, -3)), Clause((4, 7, -8)),
+    ])
+    result = saturate(formula)
+    assert result.status is SaturationStatus.SATURATED
+    assert result.trace == (
+        ResolutionStep(0, 2, 9, 6),  # (1 5)
+        ResolutionStep(3, 6, 5, 7),  # (1 2 3)
+        ResolutionStep(1, 5, 8, 8),  # (4 6 7)
+        ResolutionStep(4, 7, 3, 9),  # (1 2)
+    )
+    assert _observed(result) == reference_saturate(formula, Budget())
+
+
 def test_saturation_agrees_with_dpll_on_random_formulas():
     rng = random.Random(31)
     for _ in range(300):
@@ -480,8 +528,49 @@ def test_saturate_matches_the_reference_policy_on_wide_clauses():
     assert min(scanned, tripped, tautologies) >= 10, (scanned, tripped, tautologies)
 
 
+def test_saturate_matches_the_reference_policy_across_widths(monkeypatch):
+    # Originals of widths 1..6, some formulas with no clause narrower than
+    # 2 or 3, so that runs store resolvents narrower than every original
+    # and skip given clauses subsumed by them.
+    rng = random.Random(3201)
+    skips = 0
+    plain_subsumed = resolution._subsumed
+
+    def counting_subsumed(lits, lit_set, ids, sets, narrowest):
+        nonlocal skips
+        found = plain_subsumed(lits, lit_set, ids, sets, narrowest)
+        if found and lits in ids:  # a given clause is stored, a resolvent is not
+            skips += 1
+        return found
+
+    monkeypatch.setattr(resolution, "_subsumed", counting_subsumed)
+    narrower = skipping = 0
+    for _ in range(200):
+        n = rng.randint(3, 10)
+        low = rng.randint(1, 3)
+        clauses = [
+            make_clause([v if rng.random() < 0.5 else -v
+                         for v in rng.sample(range(1, n + 1), rng.randint(min(low, n), min(n, 6)))])
+            for _ in range(rng.randint(2, 3 * n))
+        ]
+        formula = build_formula([c for c in clauses if c is not None], n)
+        atoms = rng.sample(range(1, n + 1), rng.randint(1, 2))
+        budget = Budget(
+            max_steps=rng.choice([rng.randint(0, 30), DEFAULT_MAX_STEPS]),
+            max_width=rng.choice([None, 3]),
+            goal=rng.choice([None, make_clause([v if rng.random() < 0.5 else -v for v in atoms])]),
+        )
+        skips = 0
+        result = saturate(formula, budget)
+        assert _observed(result) == reference_saturate(formula, budget), (formula, budget)
+        least = min(len(c.lits) for c in formula.clauses)
+        narrower += any(0 < len(c.lits) < least for c in result.derived)
+        skipping += skips > 0
+    assert min(narrower, skipping) >= 10, (narrower, skipping)
+
+
 # In generator order saturation's work has closed forms in k.
-@pytest.mark.parametrize("k", [2, 3, 5, 8, 13, 21, 40])
+@pytest.mark.parametrize("k", [2, 3, 5, 8, 13, 21, 40, 60])
 def test_saturation_work_follows_its_closed_forms(k):
     matched = saturate(compose_two_trees(k, Closing.MATCHED))
     assert matched.status is SaturationStatus.EMPTY_DERIVED
