@@ -13,13 +13,15 @@ tautology when the two clash on other variables too.  Every step is one
 attempted inference on one variable.
 
 The next given clause is the narrowest unprocessed clause, the lowest id
-breaking ties.  If a proper subset of it is stored by then, it is
-skipped: it is never resolved and never becomes a partner.  Otherwise
-every processed clause that it properly subsumes is withdrawn.  Those
-not withdrawn are filed by literal in one index, and the given clause
-is resolved, in ascending id order, against those filed under the
-complement of its greatest literal whose own greatest literal is that
-complement, and then joins the processed set.  Skipped and
+breaking ties: the front of the narrowest of the FIFO queues that hold
+each width's unprocessed ids, in ascending order since ids only grow.
+If a proper subset of it is stored by then, it is skipped: it is never
+resolved and never becomes a partner.  Otherwise every processed clause
+that it properly subsumes is withdrawn.  Those not withdrawn are filed
+by literal in one index, and the given clause is resolved, in ascending
+id order, against those filed under the complement of its greatest
+literal whose own greatest literal is that complement, and then joins
+the processed set.  Skipped and
 withdrawn clauses are both counted as `retired`.  So each eligible pair
 is tried at most once, when the later-processed clause is given, and runs
 are deterministic.  Clause ids are assigned in discovery order (original
@@ -53,8 +55,8 @@ pair, and it is a tautology when the partner holds the complement of
 another literal of the given clause (Robinson, JACM 1965); `Clause`
 objects are built only when a result is returned.  A novel resolvent or
 a given clause of width w is tested for subsumption by looking its
-2^w - 2 proper non-empty sub-tuples up in that dict, or, when that is
-more lookups than the store has clauses, by scanning the stored sets.
+proper sub-tuples as wide as the narrowest stored clause or wider up in
+that dict, or, when 2^w exceeds the store's size, by scanning its sets.
 No operation on a clause costs time that grows with the variable count,
 only with the clause's width.  `replay_trace` runs every step through
 `resolve`, so a replay checks a trace by a second, independent rule.
@@ -210,14 +212,14 @@ def saturate(formula: CnfFormula, budget: Budget | None = None) -> SaturationRes
     """Resolve to fixpoint, to a stored clause that subsumes the goal
     (`Budget`) or to budget exhaustion by ordered resolution, the goal's
     atoms lowest and the rest by id.  The narrowest unprocessed clause
-    (lowest id on ties) is the next given clause, and it is resolved on
-    its greatest literal against every processed clause whose greatest
-    literal is the complement, unless a later given clause has subsumed
-    that partner.  A resolvent that a stored clause subsumes is dropped
-    and counted as `subsumed`.  A given clause that a stored clause
-    subsumes is skipped, and a processed clause that a given clause
-    subsumes is withdrawn from the partners; both are counted as
-    `retired`."""
+    (lowest id on ties), the front of the narrowest per-width queue, is
+    the next given clause, and it is resolved on its greatest literal
+    against every processed clause whose greatest literal is the
+    complement, unless a later given clause has subsumed that partner.
+    A resolvent that a stored clause subsumes is dropped and counted as
+    `subsumed`.  A given clause that a stored clause subsumes is
+    skipped, and a processed clause that a given clause subsumes is
+    withdrawn from the partners; both are counted as `retired`."""
     budget = budget or Budget()
     max_width = budget.max_width if budget.max_width is not None else formula.num_vars
     max_steps = budget.max_steps
@@ -234,8 +236,7 @@ def saturate(formula: CnfFormula, budget: Budget | None = None) -> SaturationRes
     store: list[tuple[int, ...]] = [c.lits for c in formula.clauses]
     sets = [frozenset(lits) for lits in store]
     ids: dict[tuple[int, ...], int] = {lits: i for i, lits in enumerate(store)}
-    # A FIFO queue of unprocessed ids per width, none left empty.  Ids only
-    # grow, so the narrowest queue's front is the next given clause.
+    # FIFO queues of unprocessed ids by width, none empty; ids only grow.
     queues: defaultdict[int, deque[int]] = defaultdict(deque)
     for i, lits in enumerate(store):
         queues[len(lits)].append(i)

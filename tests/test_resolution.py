@@ -56,13 +56,16 @@ def _random_clause(rng: random.Random) -> Clause:
     return make_clause([v if rng.random() < 0.5 else -v for v in variables])
 
 
-def _random_formula(rng: random.Random, min_vars: int, max_vars: int, max_width: int):
+def _random_formula(
+    rng: random.Random, min_vars: int, max_vars: int, max_width: int, min_width: int = 1
+):
     """n in min_vars..max_vars variables, 2..3n clauses of widths
-    1..max_width, tautologies dropped."""
+    min_width..max_width (at most n), tautologies dropped."""
     n = rng.randint(min_vars, max_vars)
+    low = min(min_width, n)
     clauses = [
         make_clause([v if rng.random() < 0.5 else -v
-                     for v in rng.sample(range(1, n + 1), rng.randint(1, min(n, max_width)))])
+                     for v in rng.sample(range(1, n + 1), rng.randint(low, min(n, max_width)))])
         for _ in range(rng.randint(2, 3 * n))
     ]
     return build_formula([c for c in clauses if c is not None], n)
@@ -132,6 +135,14 @@ def reference_saturate(formula, budget):
         steps, len(trace), tautologies, duplicates, over_width, subsumed, retired
     )
     return status, stopped_by, counters, tuple(trace), store
+
+
+def _observed(result):
+    """A `saturate` result in the shape `reference_saturate` returns."""
+    return (
+        str(result.status), result.stopped_by, result.counters, result.trace,
+        [frozenset(c.lits) for c in result.store],
+    )
 
 
 def _renumbered(formula, seed: int):
@@ -398,13 +409,6 @@ def test_a_processed_clause_that_the_given_clause_subsumes_is_withdrawn():
     assert tuple(replay_trace(formula, result.trace)) == result.store
 
 
-def _observed(result):
-    return (
-        str(result.status), result.stopped_by, result.counters, result.trace,
-        [frozenset(c.lits) for c in result.store],
-    )
-
-
 def test_a_unit_derived_mid_run_subsumes_through_the_sub_tuple_lookup():
     # Every original has width 2 or 3.  Given (1 -9) meets (1 9) and then
     # (5 9): the first step stores the unit (1), which subsumes the second
@@ -488,11 +492,7 @@ def test_saturate_matches_the_reference_policy_on_random_formulas():
             goal,
         )
         result = saturate(formula, budget)
-        observed = (
-            str(result.status), result.stopped_by, result.counters, result.trace,
-            [frozenset(c.lits) for c in result.store],
-        )
-        assert observed == reference_saturate(formula, budget), (formula, budget)
+        assert _observed(result) == reference_saturate(formula, budget), (formula, budget)
 
 
 def test_saturate_matches_the_reference_policy_on_wide_clauses():
@@ -516,11 +516,7 @@ def test_saturate_matches_the_reference_policy_on_wide_clauses():
             goal=random_lits(n, rng.randint(1, 3)),
         )
         result = saturate(formula, budget)
-        observed = (
-            str(result.status), result.stopped_by, result.counters, result.trace,
-            [frozenset(c.lits) for c in result.store],
-        )
-        assert observed == reference_saturate(formula, budget), (formula, budget)
+        assert _observed(result) == reference_saturate(formula, budget), (formula, budget)
         derived = enumerate(result.derived, result.n_original)
         scanned += any(1 << len(c.lits) > i for i, c in derived)
         tripped += result.stopped_by == "max_steps"
@@ -529,9 +525,9 @@ def test_saturate_matches_the_reference_policy_on_wide_clauses():
 
 
 def test_saturate_matches_the_reference_policy_across_widths(monkeypatch):
-    # Originals of widths 1..6, some formulas with no clause narrower than
-    # 2 or 3, so that runs store resolvents narrower than every original
-    # and skip given clauses subsumed by them.
+    # Originals of widths 1..6, in some formulas none narrower than 2 or
+    # 3, so that runs store resolvents narrower than every original and
+    # skip given clauses subsumed by them.
     rng = random.Random(3201)
     skips = 0
     plain_subsumed = resolution._subsumed
@@ -546,15 +542,8 @@ def test_saturate_matches_the_reference_policy_across_widths(monkeypatch):
     monkeypatch.setattr(resolution, "_subsumed", counting_subsumed)
     narrower = skipping = 0
     for _ in range(200):
-        n = rng.randint(3, 10)
-        low = rng.randint(1, 3)
-        clauses = [
-            make_clause([v if rng.random() < 0.5 else -v
-                         for v in rng.sample(range(1, n + 1), rng.randint(min(low, n), min(n, 6)))])
-            for _ in range(rng.randint(2, 3 * n))
-        ]
-        formula = build_formula([c for c in clauses if c is not None], n)
-        atoms = rng.sample(range(1, n + 1), rng.randint(1, 2))
+        formula = _random_formula(rng, 3, 10, 6, min_width=rng.randint(1, 3))
+        atoms = rng.sample(range(1, formula.num_vars + 1), rng.randint(1, 2))
         budget = Budget(
             max_steps=rng.choice([rng.randint(0, 30), DEFAULT_MAX_STEPS]),
             max_width=rng.choice([None, 3]),
